@@ -5,12 +5,17 @@ whose matrix is plus or minus the identity; its length h is the order of
 E(k) = [[k, -1], [1, 0]] in SL2(Z/NZ) modulo sign, so the all-k solution
 lengths are exactly the multiples of h.
 
-Reducibility of the all-k solution of length h is decided against the only
-shapes a summand can take: writing the target as a sum forces both summands
-to be boundary words (x, k, ..., k, x) whose boundary satisfies
+Reducibility of the all-k solution of length h is decided from the
+continuants c_j, defined by E(k)**j = [[c_j, -c_{j-1}], [c_{j-1}, -c_{j-2}]]
+(c_0 = 1, c_1 = k, c_{j+1} = k c_j - c_{j-1}).  Writing the target as a sum
+forces both summands to be boundary words (x, k, ..., k, x), and by
+boundary rigidity E(x) E(k)**j E(x) = +/-Id forces E(k)**j = +/-E(x)**-2.
+Comparing entries, a right summand of length j + 2 exists exactly when
+c_j = +/-1, and then its boundary x = +/-c_{j-1} is unique and a root of
 x(x - k) = 0 mod N.  The decision is certified: either a verified
-decomposition or the record of every (length, root) candidate that failed.
-The unstructured search in the bruteforce module cross-checks this logic.
+decomposition, or the claim that no (length, root) candidate is a solution,
+which anyone can recompute.  The unstructured search in the bruteforce
+module cross-checks this logic.
 """
 
 from __future__ import annotations
@@ -18,16 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, UsageError, VerificationError
-from .ring import MAX_MODULUS, Mat2, Modulus, Residue, as_modulus, _mul, _pm_sign
-from .words import Word, equivalent, is_solution, oplus, word
-
-
-def _as_residue_value(k: "Residue | int", m: Modulus) -> int:
-    if isinstance(k, Residue):
-        if k.modulus != m:
-            raise UsageError(f"residue is mod {k.modulus.n}, expected mod {m.n}")
-        return k.value
-    return k % m.n
+from .ring import (MAX_MODULUS, Mat2, Modulus, Residue, as_modulus, as_residue,
+                   elementary, mat_pow, _mul, _pm_sign)
+from .words import Word, is_solution, oplus, word
 
 
 def _elementary_tuple(k: int, n: int) -> tuple[int, int, int, int]:
@@ -64,7 +62,7 @@ def minimal_monomial_size(modulus: "Modulus | int",
     """Smallest h >= 1 with E(k)**h = +/-Id, and the sign attained there."""
     m = as_modulus(modulus)
     n = m.n
-    kv = _as_residue_value(k, m)
+    kv = as_residue(k, m).value
     ek = _elementary_tuple(kv, n)
     cap = size_cap(m)
     acc = ek
@@ -128,7 +126,7 @@ def quadratic_roots(modulus: "Modulus | int",
     """Brute-force scan of all x in [0, N) for x(x - k) = 0 mod N."""
     m = as_modulus(modulus)
     n = m.n
-    kv = _as_residue_value(k, m)
+    kv = as_residue(k, m).value
     roots = tuple(x for x in range(n) if x * (x - kv) % n == 0)
     return QuadraticRoots(m, kv, roots)
 
@@ -187,15 +185,16 @@ def two_boundary_word(n: int, m: int, a: int) -> Word:
         "two boundary family")
 
 
-FAMILY_KINDS = ("power_monomial", "odd_boundary", "two_boundary")
+FAMILY_BUILDERS = {"power_monomial": power_monomial_word,
+                   "odd_boundary": odd_boundary_word,
+                   "two_boundary": two_boundary_word}
+FAMILY_KINDS = tuple(FAMILY_BUILDERS)
 
 
 def family_word(kind: str, **params) -> Word:
     """Dispatch to one of the named solution-family generators."""
     try:
-        builder = {"power_monomial": power_monomial_word,
-                   "odd_boundary": odd_boundary_word,
-                   "two_boundary": two_boundary_word}[kind]
+        builder = FAMILY_BUILDERS[kind]
     except KeyError:
         raise UsageError(f"unknown family kind {kind!r}; "
                          f"expected one of {FAMILY_KINDS}") from None
@@ -208,7 +207,7 @@ def family_word(kind: str, **params) -> Word:
 def power_matrix_identity(n: int, a: int) -> Mat2:
     """The product of 2**n copies of E(2a) over N = 2**(n+1), for odd a.
 
-    Computes the product by repeated multiplication and checks it equals
+    Computes the product by square-and-multiply and checks it equals
     [[1 + 2**n a**2, 2**n a], [-2**n a, 1 + 2**n a**2]] before returning it.
     Requires n >= 3; note the product is not +/-identity, which is what
     pins the minimal all-(2a) solution length over 2**(n+1) to 2**(n+1).
@@ -222,35 +221,35 @@ def power_matrix_identity(n: int, a: int) -> Mat2:
     modulus = Modulus(2 ** (n + 1))
     big = modulus.n
     k = 2 * a % big
-    ek = _elementary_tuple(k, big)
-    acc = (1, 0, 0, 1)
-    for _ in range(2 ** n):
-        acc = _mul(ek, acc, big)
+    product = mat_pow(elementary(k, modulus), 2 ** n)
     diag = (1 + 2 ** n * a * a) % big
     off = 2 ** n * a % big
     expected = (diag, off, -off % big, diag)
-    if acc != expected:
+    if product.entries() != expected:
         raise InternalCheckError(
-            f"product of 2**{n} copies of E({k}) mod {big} is {acc}, "
-            f"expected {expected}")
-    return Mat2(*acc, modulus)
+            f"product of 2**{n} copies of E({k}) mod {big} is "
+            f"{product.entries()}, expected {expected}")
+    return product
 
 
 @dataclass(frozen=True)
 class Decomposition:
     """A verified split of the target into left (+) right.
 
-    Construction re-checks everything the split claims: both summands have
-    length >= 3, the right summand is a solution, and the sum is equivalent
-    to the target.  A certificate therefore cannot exist unverified.
+    Construction re-checks everything the split claims, in O(h): both
+    summands have length >= 3, the right summand is a solution, and the sum
+    equals the target.  The left summand is then a solution by sum
+    stability.  A certificate therefore cannot exist unverified.  The
+    target is constant, so its only arrangement is itself and the sum always
+    reproduces it exactly.
     """
 
     target: Word
     left: Word
     right: Word
-    rotation_note: str
 
     variant = "decomposition"
+    rotation_note = "left (+) right reproduces the all-k target exactly"
 
     def __post_init__(self):
         if len(self.left) < 3 or len(self.right) < 3:
@@ -258,10 +257,9 @@ class Decomposition:
         if is_solution(self.right) is None:
             raise InternalCheckError(
                 f"right summand {self.right!r} is not a solution")
-        if not equivalent(self.target, oplus(self.left, self.right)):
+        if oplus(self.left, self.right) != self.target:
             raise InternalCheckError(
-                f"{self.left!r} (+) {self.right!r} is not equivalent "
-                f"to {self.target!r}")
+                f"{self.left!r} (+) {self.right!r} is not {self.target!r}")
 
     def summary(self) -> str:
         return (f"splits as {len(self.left)}+{len(self.right)} with "
@@ -270,24 +268,40 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class ExaminedSplit:
-    """One rejected candidate: right summand length and boundary root."""
+    """One rejected candidate: right summand length and boundary root.
+
+    Its right summand is not a solution.  That is the only reason a
+    candidate fails: once the right summand is a solution, the left one is
+    too, by sum stability.
+    """
 
     right_length: int
     root: int
-    reason: str  # "right-not-solution" or "left-not-solution"
+
+    reason = "right-not-solution"
 
 
 @dataclass(frozen=True)
 class Exhausted:
-    """Every admissible (length, root) candidate failed; the list is the
-    proof of irreducibility relative to the forced summand shape."""
+    """No right summand (x, k, ..., k, x) with x in `roots` and length in
+    [3, size - 1] is a solution, i.e. no continuant c_j with j <= size - 3
+    is +/-1.  The claim is the proof of irreducibility relative to the
+    forced summand shape; `examined` lists its candidates on demand."""
 
-    examined: tuple[ExaminedSplit, ...]
+    size: int
+    roots: tuple[int, ...]
 
     variant = "exhausted"
 
+    @property
+    def examined(self) -> tuple[ExaminedSplit, ...]:
+        """Every (length, root) candidate, length and root ascending."""
+        return tuple(ExaminedSplit(length, x)
+                     for length in range(3, self.size) for x in self.roots)
+
     def summary(self) -> str:
-        return f"exhausted {len(self.examined)} split candidates"
+        return (f"exhausted {(self.size - 3) * len(self.roots)} "
+                f"split candidates")
 
 
 @dataclass(frozen=True)
@@ -312,45 +326,31 @@ def is_reducible_monomial(modulus: "Modulus | int", k: "Residue | int"
     """Decide reducibility of the minimal all-k solution, with certificate.
 
     The target of length h is reducible exactly when some right summand
-    (x, k, ..., k, x) of length l in [3, h-1] with x a root of X(X - k) and
-    the matching left summand (k-x, k, ..., k, k-x) of length h + 2 - l are
-    both solutions.  Candidates are scanned with l ascending and x ascending,
-    so certificates are reproducible.  For k = 0 the minimal solution is the
-    pair (0, 0), reported as not irreducible with a sentinel certificate.
+    (x, k, ..., k, x) of length l = j + 2 in [3, h-1] is a solution, which
+    holds exactly when the continuant c_j is +/-1; the matching left summand
+    (k-x, k, ..., k, k-x) of length h - j is then a solution too.  One pass
+    over j = 1..h-3 finds the shortest right summand; its boundary is
+    x = c_{j-1} when c_j = 1 and x = -c_{j-1} when c_j = -1, the only root
+    that works at that length.  For k = 0 the minimal solution is the pair
+    (0, 0), reported as not irreducible with a sentinel certificate.
     """
     m = as_modulus(modulus)
     n = m.n
-    kv = _as_residue_value(k, m)
-    h, _ = minimal_monomial_size(m, kv)
+    kv = as_residue(k, m).value
     if kv == 0:
         return True, ZeroExcluded()
-    target = word([kv] * h, m)
-    powers = _elementary_power_tuples(m, kv, max(h - 2, 0))
-    roots = quadratic_roots(m, kv).roots
-    examined = []
-    for right_len in range(3, h):
-        left_len = h + 2 - right_len
-        for x in roots:
-            ex = _elementary_tuple(x, n)
-            right_mat = _mul(ex, _mul(powers[right_len - 2], ex, n), n)
-            if _pm_sign(right_mat, n) is None:
-                examined.append(ExaminedSplit(right_len, x,
-                                              "right-not-solution"))
-                continue
+    h, _ = minimal_monomial_size(m, kv)
+    one, minus_one = 1 % n, -1 % n
+    prev, cur = one, kv  # c_{j-1}, c_j at j = 1
+    for j in range(1, h - 2):
+        if cur == one or cur == minus_one:
+            x = prev if cur == one else -prev % n
             y = (kv - x) % n
-            ey = _elementary_tuple(y, n)
-            left_mat = _mul(ey, _mul(powers[left_len - 2], ey, n), n)
-            if _pm_sign(left_mat, n) is None:
-                examined.append(ExaminedSplit(right_len, x,
-                                              "left-not-solution"))
-                continue
-            left = word([y] + [kv] * (left_len - 2) + [y], m)
-            right = word([x] + [kv] * (right_len - 2) + [x], m)
-            note = ("left (+) right reproduces the all-k target exactly"
-                    if oplus(left, right).values == target.values
-                    else "left (+) right is an arrangement of the target")
-            return True, Decomposition(target, left, right, note)
-    return False, Exhausted(tuple(examined))
+            left = word([y] + [kv] * (h - j - 2) + [y], m)
+            right = word([x] + [kv] * j + [x], m)
+            return True, Decomposition(word([kv] * h, m), left, right)
+        prev, cur = cur, (kv * cur - prev) % n
+    return False, Exhausted(h, quadratic_roots(m, kv).roots)
 
 
 @dataclass(frozen=True)

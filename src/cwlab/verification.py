@@ -19,13 +19,11 @@ from .monomial import (
     _elementary_tuple,
     classify_monomials,
     closed_form_size,
+    family_word,
     is_reducible_monomial,
     minimal_monomial_size,
-    odd_boundary_word,
     power_matrix_identity,
-    power_monomial_word,
     quadratic_roots,
-    two_boundary_word,
 )
 from .numtheory import binomial_valuation, factorize
 from .ring import Modulus, _mul, _pm_sign
@@ -405,15 +403,12 @@ def _family_instances(max_modulus: int):
 
 
 def check_family_soundness(max_modulus: int = 256) -> CheckOutcome:
-    builders = {"power_monomial": power_monomial_word,
-                "odd_boundary": odd_boundary_word,
-                "two_boundary": two_boundary_word}
     failures = []
     count = 0
     for kind, params in _family_instances(max_modulus):
         count += 1
         try:
-            builders[kind](**params)  # raises unless it built a solution
+            family_word(kind, **params)  # raises unless it built a solution
         except InternalCheckError as exc:
             failures.append(f"{kind} {params}: {exc}")
     return _outcome("family-soundness", failures,

@@ -82,6 +82,37 @@ def test_monomial_all_json(capsys):
     assert dump_json(payload) == out
 
 
+def test_monomial_single_json_certificates_are_pinned(capsys):
+    code, out, _ = run_cli(capsys, "monomial", "10", "3", "--format", "json")
+    assert code == 0
+    assert out == dump_json({
+        "N": 10, "k": 3, "size": 15, "sign": -1, "irreducible": False,
+        "certificate": {
+            "variant": "decomposition",
+            "summary": "splits as 12+5 with boundaries 5/8",
+            "target": [3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3],
+            "left": [5, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 5],
+            "right": [8, 3, 3, 3, 8],
+            "rotation_note":
+                "left (+) right reproduces the all-k target exactly"}})
+
+    code, out, _ = run_cli(capsys, "monomial", "7", "2", "--format", "json")
+    assert code == 0
+    assert out == dump_json({
+        "N": 7, "k": 2, "size": 7, "sign": 1, "irreducible": True,
+        "certificate": {
+            "variant": "exhausted",
+            "summary": "exhausted 8 split candidates",
+            "examined": [[3, 0, "right-not-solution"],
+                         [3, 2, "right-not-solution"],
+                         [4, 0, "right-not-solution"],
+                         [4, 2, "right-not-solution"],
+                         [5, 0, "right-not-solution"],
+                         [5, 2, "right-not-solution"],
+                         [6, 0, "right-not-solution"],
+                         [6, 2, "right-not-solution"]]}})
+
+
 def test_monomial_k_out_of_range(capsys):
     code, _, err = run_cli(capsys, "monomial", "9", "9")
     assert code == 2

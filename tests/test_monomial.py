@@ -17,7 +17,8 @@ from cwlab.monomial import (
     size_cap,
     two_boundary_word,
 )
-from cwlab.ring import Modulus, elementary, mat_pow, is_pm_identity
+from cwlab.ring import (Modulus, elementary, identity, is_pm_identity, mat_mul,
+                        mat_pow)
 from cwlab.words import equivalent, is_solution, oplus, word
 
 
@@ -28,6 +29,43 @@ def minimal_size_oracle(n, k):
         if sign is not None:
             return h, sign
     raise AssertionError("no size found")
+
+
+def reducibility_oracle(n, k):
+    """Oracle: the literal scan over every (right length, root) candidate.
+
+    Returns (reducible, left, right, rotation_note, examined, summary) with
+    the summands and note None when irreducible; examined holds
+    (length, root, reason) triples and is empty when reducible.
+    """
+    h, _ = minimal_size_oracle(n, k)
+    roots = [x for x in range(n) if x * (x - k) % n == 0]
+    powers = [identity(n)]
+    for _ in range(h - 2):
+        powers.append(mat_mul(elementary(k, n), powers[-1]))
+    examined = []
+    for length in range(3, h):
+        for x in roots:
+            ex = elementary(x, n)
+            if is_pm_identity(ex @ powers[length - 2] @ ex) is None:
+                examined.append((length, x, "right-not-solution"))
+                continue
+            y = (k - x) % n
+            ey = elementary(y, n)
+            if is_pm_identity(ey @ powers[h - length] @ ey) is None:
+                examined.append((length, x, "left-not-solution"))
+                continue
+            left = (y,) + (k,) * (h - length) + (y,)
+            right = (x,) + (k,) * (length - 2) + (x,)
+            total = oplus(word(left, n), word(right, n)).values
+            note = ("left (+) right reproduces the all-k target exactly"
+                    if total == (k,) * h
+                    else "left (+) right is an arrangement of the target")
+            summary = (f"splits as {len(left)}+{len(right)} with "
+                       f"boundaries {y}/{x}")
+            return True, left, right, note, (), summary
+    summary = f"exhausted {len(examined)} split candidates"
+    return False, None, None, None, tuple(examined), summary
 
 
 def test_minimal_size_examples():
@@ -188,12 +226,22 @@ def test_power_matrix_identity_values():
 
 
 def test_power_matrix_identity_against_direct_product():
+    # oracle: the literal product of 2**n copies of E(2a)
     for exponent in (3, 4, 5):
         for a in (1, 3, 5, 7, -1, -3):
             n = 2 ** (exponent + 1)
-            direct = mat_pow(elementary(2 * a, n), 2 ** exponent)
+            direct = identity(n)
+            for _ in range(2 ** exponent):
+                direct = mat_mul(elementary(2 * a, n), direct)
             assert power_matrix_identity(exponent, a) == direct
             assert is_pm_identity(direct) is None
+
+
+def test_power_matrix_identity_top_of_range():
+    # n = 29 is the largest n with 2**(n+1) <= 2**31 - 1
+    big = 2 ** 30
+    assert power_matrix_identity(29, 1).entries() == \
+        (1 + 2 ** 29, 2 ** 29, big - 2 ** 29, 1 + 2 ** 29)
 
 
 def test_power_matrix_identity_validation():
@@ -235,9 +283,27 @@ def test_decomposition_certificate_rejects_bad_data():
     m = Modulus(9)
     target = word([3] * 6, m)
     with pytest.raises(InternalCheckError):
-        Decomposition(target, word([1, 2, 3], m), word([1, 2, 3], m), "")
+        Decomposition(target, word([1, 2, 3], m), word([1, 2, 3], m))
     with pytest.raises(InternalCheckError):
-        Decomposition(target, word([6, 3], m), word([6, 3, 3, 6], m), "")
+        Decomposition(target, word([6, 3], m), word([6, 3, 3, 6], m))
+    with pytest.raises(InternalCheckError):
+        Decomposition(target, word([3, 3, 3, 3], m), word([6, 3, 3, 6], m))
+    Decomposition(target, word([6, 3, 3, 6], m), word([6, 3, 3, 6], m))
+
+
+def test_reducibility_agrees_with_candidate_scan_oracle():
+    for n in range(2, 61):
+        for k in range(1, n):
+            reducible, certificate = is_reducible_monomial(n, k)
+            if reducible:
+                got = (True, certificate.left.values,
+                       certificate.right.values, certificate.rotation_note, ())
+            else:
+                got = (False, None, None, None,
+                       tuple((s.right_length, s.root, s.reason)
+                             for s in certificate.examined))
+            assert got + (certificate.summary(),) == \
+                reducibility_oracle(n, k), (n, k)
 
 
 def test_classify_monomials_counts():
