@@ -2,11 +2,13 @@
 N and n, and an unstructured reducibility oracle that searches every
 arrangement, split and boundary pair instead of trusting any structure.
 
-The enumeration scans all N**n words depth-first, carrying the running
-matrix product so each extension costs one multiplication; membership in
-{+Id, -Id} can only be tested at full length, so there is no pruning.  Both
-the scan order and the oracle's search order are fixed, which makes output
-and witnesses reproducible byte for byte.
+The enumeration scans the N**(n-2) prefixes of the first n-2 letters
+depth-first, carrying the running matrix product so each extension costs
+one multiplication.  The last two letters are not scanned: the prefix's
+matrix either rules out every tail or forces the only one (see
+enumerate_solutions), so every solution is still found and each costs one
+test.  Both the scan order and the oracle's search order are fixed, which
+makes output and witnesses reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class EnumerationQuery:
 
     dedup collapses the output by canonical form; count_only keeps only the
     total.  The budget is checked before scanning: the scan needs about
-    N**size multiplications.
+    N**(size-2) multiplications.
     """
 
     modulus: Modulus
@@ -60,33 +62,58 @@ class Census:
     words: tuple[Word, ...] = field(default=())
 
 
+def _check_budget(n: int, exponent: int, budget: int) -> None:
+    """Refuse when n**exponent exceeds the budget, without building the
+    power: the product grows by a factor n >= 2 per step and stops at the
+    first step past the budget, so at most about log2(budget) steps run."""
+    product = 1
+    for _ in range(exponent):
+        product *= n
+        if product > budget:
+            raise BudgetExceededError(n, exponent, budget)
+
+
 def enumerate_solutions(query: EnumerationQuery) -> Census:
-    """Scan all N**size words and collect those whose matrix is +/-Id."""
+    """Scan the N**(size-2) prefixes and solve each one's last two letters.
+
+    With P = E(a_{n-2}) ... E(a_1) and E(y)E(x) = [[xy-1, -y], [x, -1]],
+    the word is a solution with sign s exactly when
+    P = s [[-1, y], [-x, xy-1]]: P's top-left entry must be -s, which
+    forces (x, y) = (-s P_21, s P_12), and the bottom-right entry then
+    follows from det P = 1.  Since +1 and -1 differ for N > 2 and give the
+    same tail for N = 2, each prefix has at most one solution, so the words
+    come out in lexicographic order.
+    """
     m = query.modulus
     n = m.n
     size = query.size
-    needed = n**size
-    if needed > query.budget:
-        raise BudgetExceededError(needed, query.budget)
+    if size == 1:
+        # E(a) has nonzero off-diagonal entries
+        return Census(m, size, 0, query.dedup)
+    prefix_len = size - 2
+    _check_budget(n, prefix_len, query.budget)
 
     one = 1 % n
-    prefix = [(one, 0, 0, one)] * (size + 1)
-    digits = [0] * size
+    minus_one = -1 % n
+    prefix = [(one, 0, 0, one)] * (prefix_len + 1)
+    digits = [0] * prefix_len
     total = 0
     raw: list[tuple[int, ...]] = []
     pos = 0
     while True:
-        while pos < size:
+        while pos < prefix_len:
             k = digits[pos]
             a, b, c, d = prefix[pos]
             # E(k) . [[a, b], [c, d]]
             prefix[pos + 1] = ((k * a - c) % n, (k * b - d) % n, a, b)
             pos += 1
-        if _pm_sign(prefix[size], n) is not None:
+        a, b, c, _ = prefix[prefix_len]
+        if a == one or a == minus_one:
+            # a = -s, so (x, y) = (a c, -a b)
             total += 1
             if not query.count_only:
-                raw.append(tuple(digits))
-        pos = size - 1
+                raw.append(tuple(digits) + (a * c % n, -a * b % n))
+        pos = prefix_len - 1
         while pos >= 0 and digits[pos] == n - 1:
             digits[pos] = 0
             pos -= 1

@@ -12,12 +12,13 @@ class ModulusMismatchError(UsageError):
 class BudgetExceededError(UsageError):
     """An enumeration would exceed the configured multiplication budget."""
 
-    def __init__(self, needed: int, budget: int):
-        self.needed = needed
+    def __init__(self, base: int, exponent: int, budget: int):
+        self.base = base
+        self.exponent = exponent
         self.budget = budget
         super().__init__(
-            f"enumeration needs about {needed} matrix multiplications, "
-            f"budget is {budget}"
+            f"enumeration needs about {base}**{exponent} matrix "
+            f"multiplications, budget is {budget}"
         )
 
 

@@ -166,5 +166,7 @@ def canonical_form(w: Word) -> Word:
     Idempotent, and two words are equivalent exactly when their canonical
     forms are equal.
     """
-    best = min(t.values for t in rotations_and_reversals(w))
+    vals = w.values
+    best = min(seq[r:] + seq[:r] for seq in (vals, vals[::-1])
+               for r in range(len(vals)))
     return Word(best, w.modulus)

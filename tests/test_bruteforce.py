@@ -11,7 +11,7 @@ from cwlab.bruteforce import (
 )
 from cwlab.errors import BudgetExceededError, UsageError
 from cwlab.monomial import is_reducible_monomial, minimal_monomial_size
-from cwlab.ring import Modulus
+from cwlab.ring import Modulus, _pm_sign
 from cwlab.words import (
     canonical_form,
     equivalent,
@@ -91,10 +91,75 @@ def test_census_determinism():
 
 def test_budget_enforced():
     with pytest.raises(BudgetExceededError) as exc_info:
-        enumerate_solutions(EnumerationQuery(Modulus(10), 9))
+        enumerate_solutions(EnumerationQuery(Modulus(10), 11))
     assert "100000000" in str(exc_info.value)
     with pytest.raises(BudgetExceededError):
-        enumerate_solutions(EnumerationQuery(Modulus(5), 3, budget=100))
+        enumerate_solutions(EnumerationQuery(Modulus(5), 5, budget=100))
+
+
+def test_budget_boundary_counts_prefix_multiplications():
+    # size 5 scans 5**3 = 125 prefixes
+    census = enumerate_solutions(EnumerationQuery(Modulus(5), 5, budget=125))
+    assert census.total == len(census.words) > 0
+    with pytest.raises(BudgetExceededError) as exc_info:
+        enumerate_solutions(EnumerationQuery(Modulus(5), 5, budget=124))
+    assert "5**3" in str(exc_info.value)
+    assert "budget is 124" in str(exc_info.value)
+
+
+def enumerate_oracle(query):
+    """The literal scan over all N**size words, checking each full product;
+    dedup takes the least arrangement from rotations_and_reversals."""
+    m = query.modulus
+    n = m.n
+    size = query.size
+    one = 1 % n
+    prefix = [(one, 0, 0, one)] * (size + 1)
+    digits = [0] * size
+    total = 0
+    raw = []
+    pos = 0
+    while True:
+        while pos < size:
+            k = digits[pos]
+            a, b, c, d = prefix[pos]
+            # E(k) . [[a, b], [c, d]]
+            prefix[pos + 1] = ((k * a - c) % n, (k * b - d) % n, a, b)
+            pos += 1
+        if _pm_sign(prefix[size], n) is not None:
+            total += 1
+            if not query.count_only:
+                raw.append(tuple(digits))
+        pos = size - 1
+        while pos >= 0 and digits[pos] == n - 1:
+            digits[pos] = 0
+            pos -= 1
+        if pos < 0:
+            break
+        digits[pos] += 1
+
+    if query.count_only:
+        words = []
+    elif query.dedup:
+        words = sorted({min(t.values for t in
+                            rotations_and_reversals(word(v, m)))
+                        for v in raw})
+    else:
+        words = raw
+    return total, words
+
+
+def test_census_agrees_with_full_scan_oracle():
+    for n in range(2, 14):
+        m = Modulus(n)
+        for size in range(1, 7):
+            if n**size > 10**5:
+                continue
+            for flags in ({}, {"dedup": True}, {"count_only": True}):
+                query = EnumerationQuery(m, size, **flags)
+                census = enumerate_solutions(query)
+                got = (census.total, [w.values for w in census.words])
+                assert got == enumerate_oracle(query), (n, size, flags)
 
 
 def test_query_validation():

@@ -172,13 +172,22 @@ def test_enumerate_count_only_and_dedup(capsys):
 
 def test_enumerate_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("CWL_BUDGET", "100")
-    code, _, err = run_cli(capsys, "enumerate", "5", "4")
+    code, _, err = run_cli(capsys, "enumerate", "5", "6")
     assert code == 2
     assert "budget is 100" in err
     monkeypatch.setenv("CWL_BUDGET", "not-a-number")
     code, _, err = run_cli(capsys, "enumerate", "5", "2")
     assert code == 2
     assert "CWL_BUDGET" in err
+
+
+def test_enumerate_refuses_huge_sizes_without_building_the_power(capsys):
+    # N**n here has thousands (or millions) of digits
+    for argv in (("10", "5000"), ("2147483647", "1000000")):
+        code, out, err = run_cli(capsys, "enumerate", *argv)
+        assert code == 2
+        assert "budget is" in err
+        assert out == ""
 
 
 def test_roots_phi_factor_binom_val(capsys):

@@ -185,6 +185,8 @@ def test_canonical_form_characterizes_equivalence(data):
     arrangement = data.draw(st.sampled_from(rotations_and_reversals(u)))
     assert equivalent(u, arrangement)
     assert canonical_form(u).values == canonical_form(arrangement).values
+    assert canonical_form(u).values == \
+        min(t.values for t in rotations_and_reversals(u))
     other = data.draw(st.lists(
         st.integers(min_value=0, max_value=u.modulus.n - 1),
         min_size=len(u), max_size=len(u)).map(lambda vs: word(vs, u.modulus)))
