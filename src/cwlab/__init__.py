@@ -34,6 +34,7 @@ from .monomial import (
     family_word,
     is_reducible_monomial,
     minimal_monomial_size,
+    monomial_report,
     odd_boundary_word,
     power_matrix_identity,
     power_monomial_word,

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, InternalCheckError, UsageError
 from .ring import Modulus, _mul, _pm_sign
-from .words import Word, canonical_form, is_solution, rotations_and_reversals
+from .words import (Word, _least_arrangement, is_solution,
+                    rotations_and_reversals)
 
 #: Default enumeration budget, in matrix multiplications.  The CLI lets the
 #: environment override it (CWL_BUDGET).
@@ -124,7 +125,7 @@ def enumerate_solutions(query: EnumerationQuery) -> Census:
     if query.count_only:
         words: tuple[Word, ...] = ()
     elif query.dedup:
-        classes = sorted({canonical_form(Word(v, m)).values for v in raw})
+        classes = sorted({_least_arrangement(v) for v in raw})
         words = tuple(Word(v, m) for v in classes)
     else:
         words = tuple(Word(v, m) for v in raw)

@@ -29,8 +29,7 @@ from .monomial import (
     Decomposition,
     Exhausted,
     classify_monomials,
-    is_reducible_monomial,
-    minimal_monomial_size,
+    monomial_report,
     quadratic_roots,
 )
 from .numtheory import binomial_valuation, euler_phi, factorize
@@ -139,18 +138,15 @@ def cmd_monomial(args) -> int:
     k = args.k
     if not 0 <= k < modulus.n:
         raise UsageError(f"k must lie in [0, {modulus.n}), got {k}")
-    size, sign = minimal_monomial_size(modulus, k)
-    reducible, certificate = is_reducible_monomial(modulus, k)
-    irreducible = not reducible
-    text = (f"N={modulus.n} k={k}: minimal size {size}, sign {sign:+d}, "
-            f"{'irreducible' if irreducible else 'not irreducible'}\n"
-            f"certificate: {certificate.summary()}\n")
-    payload = {"N": modulus.n, "k": k, "size": size, "sign": sign,
-               "irreducible": irreducible,
-               "certificate": _certificate_payload(certificate, full=True)}
+    r = monomial_report(modulus, k)
+    text = (f"N={modulus.n} k={k}: minimal size {r.size}, sign {r.sign:+d}, "
+            f"{'irreducible' if r.irreducible else 'not irreducible'}\n"
+            f"certificate: {r.certificate.summary()}\n")
+    payload = {"N": modulus.n, "k": k, "size": r.size, "sign": r.sign,
+               "irreducible": r.irreducible,
+               "certificate": _certificate_payload(r.certificate, full=True)}
     csv_text = _csv_text(["k", "size", "sign", "irreducible", "certificate"],
-                         [[k, size, sign, "yes" if irreducible else "no",
-                           certificate.summary()]])
+                         [_report_row(r)])
     _emit(args, text, payload, csv_text)
     return 0
 

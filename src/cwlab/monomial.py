@@ -5,26 +5,29 @@ whose matrix is plus or minus the identity; its length h is the order of
 E(k) = [[k, -1], [1, 0]] in SL2(Z/NZ) modulo sign, so the all-k solution
 lengths are exactly the multiples of h.
 
-Reducibility of the all-k solution of length h is decided from the
-continuants c_j, defined by E(k)**j = [[c_j, -c_{j-1}], [c_{j-1}, -c_{j-2}]]
-(c_0 = 1, c_1 = k, c_{j+1} = k c_j - c_{j-1}).  Writing the target as a sum
-forces both summands to be boundary words (x, k, ..., k, x), and by
-boundary rigidity E(x) E(k)**j E(x) = +/-Id forces E(k)**j = +/-E(x)**-2.
-Comparing entries, a right summand of length j + 2 exists exactly when
-c_j = +/-1, and then its boundary x = +/-c_{j-1} is unique and a root of
-x(x - k) = 0 mod N.  The decision is certified: either a verified
-decomposition, or the claim that no (length, root) candidate is a solution,
-which anyone can recompute.  The unstructured search in the bruteforce
-module cross-checks this logic.
+Size, sign and reducibility all come from one walk over the continuants
+c_j, defined by E(k)**j = [[c_j, -c_{j-1}], [c_{j-1}, -c_{j-2}]]
+(c_0 = 1, c_1 = k, c_{j+1} = k c_j - c_{j-1}).  E(k)**j = +/-Id exactly
+when c_{j-1} = 0 and c_j = +/-1, which gives h and its sign.  Writing the
+target as a sum forces both summands to be boundary words (x, k, ..., k, x),
+and by boundary rigidity E(x) E(k)**j E(x) = +/-Id forces
+E(k)**j = +/-E(x)**-2.  Comparing entries, a right summand of length j + 2
+exists exactly when c_j = +/-1, and then its boundary x = +/-c_{j-1} is
+unique and a root of x(x - k) = 0 mod N.  The decision is certified: either
+a verified decomposition, or the claim that no (length, root) candidate is a
+solution, which anyone can recompute.  The roots of x(x - k) come in closed
+form per prime power of N, combined by the Chinese remainder theorem.  The
+unstructured search in the bruteforce module cross-checks this logic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import InternalCheckError, UsageError, VerificationError
 from .ring import (MAX_MODULUS, Mat2, Modulus, Residue, as_modulus, as_residue,
-                   elementary, mat_pow, _mul, _pm_sign)
+                   elementary, mat_pow, _mul)
 from .words import Word, is_solution, oplus, word
 
 
@@ -57,22 +60,38 @@ def size_cap(modulus: "Modulus | int") -> int:
     return 2 * 3 ** len(m.factors) * m.n
 
 
+def _walk(n: int, k: int, cap: int
+          ) -> tuple[int, int, tuple[int, int, int] | None]:
+    """Walk the continuants c_j of E(k) mod n (k reduced) once.
+
+    Returns (h, sign, split): h is the first j with c_{j-1} = 0 and
+    c_j = +/-1, sign is +1 when c_j = 1 (so +1 for N = 2), and split is
+    (j, c_{j-1}, c_j) for the first j <= h - 3 with c_j = +/-1, else None.
+    The h test comes first, since c_{h-2} = -sign is always +/-1.
+    """
+    one, minus_one = 1 % n, -1 % n
+    prev, cur = one, k  # c_{j-1}, c_j at j = 1
+    split = None
+    for j in range(1, cap + 1):
+        if cur == one or cur == minus_one:
+            if prev == 0:
+                if split is not None and split[0] > j - 3:
+                    split = None
+                return j, 1 if cur == one else -1, split
+            if split is None:
+                split = (j, prev, cur)
+        prev, cur = cur, (k * cur - prev) % n
+    raise InternalCheckError(
+        f"no power of E({k}) mod {n} reached +/-identity within {cap} steps")
+
+
 def minimal_monomial_size(modulus: "Modulus | int",
                           k: "Residue | int") -> tuple[int, int]:
-    """Smallest h >= 1 with E(k)**h = +/-Id, and the sign attained there."""
+    """Smallest h >= 1 with E(k)**h = +/-Id, and the sign attained there:
+    the first j with c_{j-1} = 0 and c_j = +/-1 on the continuant walk."""
     m = as_modulus(modulus)
-    n = m.n
-    kv = as_residue(k, m).value
-    ek = _elementary_tuple(kv, n)
-    cap = size_cap(m)
-    acc = ek
-    for j in range(1, cap + 1):
-        sign = _pm_sign(acc, n)
-        if sign is not None:
-            return j, sign
-        acc = _mul(ek, acc, n)
-    raise InternalCheckError(
-        f"no power of E({kv}) mod {n} reached +/-identity within {cap} steps")
+    h, sign, _ = _walk(m.n, as_residue(k, m).value, size_cap(m))
+    return h, sign
 
 
 def closed_form_size(modulus: "Modulus | int", k: int) -> int | None:
@@ -116,19 +135,33 @@ class QuadraticRoots:
         rs = set(self.roots)
         if 0 not in rs or self.k % n not in rs:
             raise InternalCheckError(f"root set {self.roots} misses 0 or k")
-        if any((self.k - x) % n not in rs for x in rs):
+        if {(self.k - x) % n for x in rs} != rs:
             raise InternalCheckError(
                 f"root set {self.roots} not closed under x -> k - x")
 
 
 def quadratic_roots(modulus: "Modulus | int",
                     k: "Residue | int") -> QuadraticRoots:
-    """Brute-force scan of all x in [0, N) for x(x - k) = 0 mod N."""
+    """All x in [0, N) with x(x - k) = 0 mod N, in closed form.
+
+    For each prime power q = p**a exactly dividing N, let b be the p-adic
+    valuation of k mod q (a when q divides k) and t = p**(a - min(b, a // 2)),
+    which is q / gcd(k, p**(a // 2)).  The roots mod q are exactly the x
+    with x = 0 or x = k mod t.  The components are combined by the Chinese
+    remainder theorem, in O(sqrt(N) + #roots).
+    """
     m = as_modulus(modulus)
-    n = m.n
     kv = as_residue(k, m).value
-    roots = tuple(x for x in range(n) if x * (x - kv) % n == 0)
-    return QuadraticRoots(m, kv, roots)
+    roots, step = [0], 1
+    for p, a in m.factors:
+        q = p ** a
+        t = q // gcd(kv, p ** (a // 2))
+        local = set(range(0, q, t)).union(range(kv % t, q, t))
+        inverse = pow(step, -1, q)
+        roots = [r + step * ((s - r) * inverse % q) for r in roots
+                 for s in local]
+        step *= q
+    return QuadraticRoots(m, kv, tuple(sorted(roots)))
 
 
 def _checked_solution_word(values, modulus, what: str) -> Word:
@@ -321,38 +354,6 @@ class ZeroExcluded:
 ReducibilityCertificate = Decomposition | Exhausted | ZeroExcluded
 
 
-def is_reducible_monomial(modulus: "Modulus | int", k: "Residue | int"
-                          ) -> tuple[bool, ReducibilityCertificate]:
-    """Decide reducibility of the minimal all-k solution, with certificate.
-
-    The target of length h is reducible exactly when some right summand
-    (x, k, ..., k, x) of length l = j + 2 in [3, h-1] is a solution, which
-    holds exactly when the continuant c_j is +/-1; the matching left summand
-    (k-x, k, ..., k, k-x) of length h - j is then a solution too.  One pass
-    over j = 1..h-3 finds the shortest right summand; its boundary is
-    x = c_{j-1} when c_j = 1 and x = -c_{j-1} when c_j = -1, the only root
-    that works at that length.  For k = 0 the minimal solution is the pair
-    (0, 0), reported as not irreducible with a sentinel certificate.
-    """
-    m = as_modulus(modulus)
-    n = m.n
-    kv = as_residue(k, m).value
-    if kv == 0:
-        return True, ZeroExcluded()
-    h, _ = minimal_monomial_size(m, kv)
-    one, minus_one = 1 % n, -1 % n
-    prev, cur = one, kv  # c_{j-1}, c_j at j = 1
-    for j in range(1, h - 2):
-        if cur == one or cur == minus_one:
-            x = prev if cur == one else -prev % n
-            y = (kv - x) % n
-            left = word([y] + [kv] * (h - j - 2) + [y], m)
-            right = word([x] + [kv] * j + [x], m)
-            return True, Decomposition(word([kv] * h, m), left, right)
-        prev, cur = cur, (kv * cur - prev) % n
-    return False, Exhausted(h, quadratic_roots(m, kv).roots)
-
-
 @dataclass(frozen=True)
 class MonomialReport:
     """Per-k record: minimal size, sign there, verdict and certificate."""
@@ -363,6 +364,50 @@ class MonomialReport:
     sign: int
     irreducible: bool
     certificate: ReducibilityCertificate
+
+
+def monomial_report(modulus: "Modulus | int",
+                    k: "Residue | int") -> MonomialReport:
+    """Minimal size, sign and certified reducibility verdict from one walk.
+
+    The target of length h is reducible exactly when some right summand
+    (x, k, ..., k, x) of length l = j + 2 in [3, h-1] is a solution, which
+    holds exactly when the continuant c_j is +/-1; the matching left summand
+    (k-x, k, ..., k, k-x) of length h - j is then a solution too.  The walk
+    that finds h also finds the shortest right summand; its boundary is
+    x = c_{j-1} when c_j = 1 and x = -c_{j-1} when c_j = -1, the only root
+    that works at that length.  For k = 0 the minimal solution is the pair
+    (0, 0), reported as not irreducible with a sentinel certificate.
+    """
+    m = as_modulus(modulus)
+    n = m.n
+    kv = as_residue(k, m).value
+    h, sign, split = _walk(n, kv, size_cap(m))
+    if kv == 0:
+        certificate = ZeroExcluded()
+    elif split is not None:
+        j, prev, cur = split
+        x = prev if cur == 1 % n else -prev % n
+        y = (kv - x) % n
+        certificate = Decomposition(Word((kv,) * h, m),
+                                    Word((y,) + (kv,) * (h - j - 2) + (y,), m),
+                                    Word((x,) + (kv,) * j + (x,), m))
+    else:
+        certificate = Exhausted(h, quadratic_roots(m, kv).roots)
+    return MonomialReport(m, kv, h, sign, isinstance(certificate, Exhausted),
+                          certificate)
+
+
+def is_reducible_monomial(modulus: "Modulus | int", k: "Residue | int"
+                          ) -> tuple[bool, ReducibilityCertificate]:
+    """Decide reducibility of the minimal all-k solution, with certificate
+    (see monomial_report).  k = 0 returns the sentinel without a walk."""
+    m = as_modulus(modulus)
+    kv = as_residue(k, m).value
+    if kv == 0:
+        return True, ZeroExcluded()
+    report = monomial_report(m, kv)
+    return not report.irreducible, report.certificate
 
 
 def _prime_power_irreducible(p: int, exponent: int, k: int) -> bool:
@@ -389,12 +434,7 @@ def classify_monomials(modulus: "Modulus | int") -> list[MonomialReport]:
     mean either the decider or the rule is wrong.
     """
     m = as_modulus(modulus)
-    reports = []
-    for k in range(m.n):
-        h, sign = minimal_monomial_size(m, k)
-        reducible, certificate = is_reducible_monomial(m, k)
-        reports.append(MonomialReport(m, k, h, sign, not reducible,
-                                      certificate))
+    reports = [monomial_report(m, k) for k in range(m.n)]
     if len(m.factors) == 1:
         p, exponent = m.factors[0]
         for report in reports:

@@ -26,7 +26,7 @@ class Word:
         if len(self.values) < 1:
             raise UsageError("a word needs at least one component")
         n = self.modulus.n
-        if any(not 0 <= v < n for v in self.values):
+        if min(self.values) < 0 or max(self.values) >= n:
             raise UsageError(f"word components must lie in [0, {n})")
 
     def __len__(self) -> int:
@@ -160,13 +160,16 @@ def equivalent(u: Word, v: Word) -> bool:
     return any(v.values == t.values for t in rotations_and_reversals(u))
 
 
+def _least_arrangement(values: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically smallest rotation of values or of their reversal."""
+    return min(seq[r:] + seq[:r] for seq in (values, values[::-1])
+               for r in range(len(values)))
+
+
 def canonical_form(w: Word) -> Word:
     """Lexicographically smallest arrangement; a total dedup key for classes.
 
     Idempotent, and two words are equivalent exactly when their canonical
     forms are equal.
     """
-    vals = w.values
-    best = min(seq[r:] + seq[:r] for seq in (vals, vals[::-1])
-               for r in range(len(vals)))
-    return Word(best, w.modulus)
+    return Word(_least_arrangement(w.values), w.modulus)

@@ -113,6 +113,79 @@ def test_monomial_single_json_certificates_are_pinned(capsys):
                          [6, 2, "right-not-solution"]]}})
 
 
+MONOMIAL_16 = [  # (size, sign, summary) for k = 0..15
+    (2, -1, "minimal solution is (0, 0); excluded from irreducibility"),
+    (3, -1, "exhausted 0 split candidates"),
+    (16, 1, "exhausted 52 split candidates"),
+    (12, 1, "exhausted 18 split candidates"),
+    (8, 1, "splits as 6+4 with boundaries 8/12"),
+    (12, 1, "exhausted 18 split candidates"),
+    (16, 1, "exhausted 52 split candidates"),
+    (6, 1, "exhausted 6 split candidates"),
+    (4, 1, "exhausted 4 split candidates"),
+    (6, 1, "exhausted 6 split candidates"),
+    (16, 1, "exhausted 52 split candidates"),
+    (12, 1, "exhausted 18 split candidates"),
+    (8, 1, "splits as 6+4 with boundaries 8/4"),
+    (12, 1, "exhausted 18 split candidates"),
+    (16, 1, "exhausted 52 split candidates"),
+    (3, 1, "exhausted 0 split candidates"),
+]
+
+MONOMIAL_30 = [  # (size, sign, summary) for k = 0..29
+    (2, -1, "minimal solution is (0, 0); excluded from irreducibility"),
+    (3, -1, "exhausted 0 split candidates"),
+    (30, 1, "exhausted 108 split candidates"),
+    (60, 1, "splits as 42+20 with boundaries 15/18"),
+    (6, 1, "exhausted 12 split candidates"),
+    (12, 1, "exhausted 36 split candidates"),
+    (12, 1, "exhausted 18 split candidates"),
+    (30, 1, "splits as 27+5 with boundaries 25/12"),
+    (30, 1, "exhausted 108 split candidates"),
+    (12, 1, "exhausted 36 split candidates"),
+    (12, 1, "exhausted 18 split candidates"),
+    (6, 1, "exhausted 24 split candidates"),
+    (20, 1, "exhausted 34 split candidates"),
+    (15, -1, "exhausted 96 split candidates"),
+    (6, 1, "exhausted 12 split candidates"),
+    (6, -1, "exhausted 6 split candidates"),
+    (6, 1, "exhausted 12 split candidates"),
+    (15, 1, "exhausted 96 split candidates"),
+    (20, 1, "exhausted 34 split candidates"),
+    (6, 1, "exhausted 24 split candidates"),
+    (12, 1, "exhausted 18 split candidates"),
+    (12, 1, "exhausted 36 split candidates"),
+    (30, 1, "exhausted 108 split candidates"),
+    (30, 1, "splits as 27+5 with boundaries 5/18"),
+    (12, 1, "exhausted 18 split candidates"),
+    (12, 1, "exhausted 36 split candidates"),
+    (6, 1, "exhausted 12 split candidates"),
+    (60, 1, "splits as 42+20 with boundaries 15/12"),
+    (30, 1, "exhausted 108 split candidates"),
+    (3, 1, "exhausted 0 split candidates"),
+]
+
+
+def test_monomial_all_json_is_pinned(capsys):
+    for n, rows in ((16, MONOMIAL_16), (30, MONOMIAL_30)):
+        reports = []
+        for k, (size, sign, summary) in enumerate(rows):
+            irreducible = summary.startswith("exhausted")
+            variant = ("zero-excluded" if k == 0 else
+                       "exhausted" if irreducible else "decomposition")
+            reports.append({"k": k, "size": size, "sign": sign,
+                            "irreducible": irreducible,
+                            "certificate": {"variant": variant,
+                                            "summary": summary}})
+        code, out, _ = run_cli(capsys, "monomial", str(n), "--all",
+                               "--format", "json")
+        assert code == 0
+        assert out == dump_json({
+            "N": n, "irreducible_count": sum(r["irreducible"]
+                                             for r in reports),
+            "reports": reports})
+
+
 def test_monomial_k_out_of_range(capsys):
     code, _, err = run_cli(capsys, "monomial", "9", "9")
     assert code == 2
@@ -202,6 +275,42 @@ def test_roots_phi_factor_binom_val(capsys):
 
     code, out, _ = run_cli(capsys, "binom-val", "8", "3", "2")
     assert code == 0 and ": 3" in out
+
+
+def roots_by_crt(n, k):
+    """Oracle: scan each prime power q of n, then combine the residues with
+    the explicit CRT sum of r_q * (n/q) * ((n/q)**-1 mod q)."""
+    components = []
+    rest, p = n, 2
+    while rest > 1:
+        q = 1
+        while rest % p == 0:
+            rest //= p
+            q *= p
+        if q > 1:
+            components.append(
+                (q, [x for x in range(q) if x * (x - k) % q == 0]))
+        p += 1
+    roots = [0]
+    for q, local in components:
+        cofactor = n // q
+        lift = cofactor * pow(cofactor, -1, q)
+        roots = [r + x * lift for r in roots for x in local]
+    return sorted(r % n for r in roots)
+
+
+def test_roots_at_the_top_of_the_domain(capsys):
+    cases = [(2147483647, 5, [0, 5]),
+             (2 ** 30, 0, [i * 2 ** 15 for i in range(2 ** 15)]),
+             (2147483646, 6, roots_by_crt(2147483646, 6))]
+    for n, k, expected in cases:
+        code, out, _ = run_cli(capsys, "roots", str(n), str(k),
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"N": n, "k": k, "roots": expected}
+    # 2147483646 = 2 * 3**2 * 7 * 11 * 31 * 151 * 331 and 6 = 0 mod 2 and
+    # mod 3: 1 root mod 2, 3 mod 9 and 2 mod each other prime
+    assert len(cases[2][2]) == 3 * 2 ** 5
 
 
 def test_argparse_usage_errors_exit_two(capsys):

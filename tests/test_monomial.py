@@ -18,17 +18,25 @@ from cwlab.monomial import (
     two_boundary_word,
 )
 from cwlab.ring import (Modulus, elementary, identity, is_pm_identity, mat_mul,
-                        mat_pow)
+                        _mul, _pm_sign)
 from cwlab.words import equivalent, is_solution, oplus, word
 
 
 def minimal_size_oracle(n, k):
-    """Oracle: grow the power of E(k) one step at a time via mat_pow."""
+    """Oracle: the 2x2 matrix search, E(k)**h = E(k) E(k)**(h-1)."""
+    ek = (k % n, -1 % n, 1 % n, 0)
+    power = ek
     for h in range(1, 6 * n + 1):
-        sign = is_pm_identity(mat_pow(elementary(k, n), h))
+        sign = _pm_sign(power, n)
         if sign is not None:
             return h, sign
+        power = _mul(ek, power, n)
     raise AssertionError("no size found")
+
+
+def roots_oracle(n, k):
+    """Oracle: the literal scan of x in [0, n) for x(x - k) = 0 mod n."""
+    return tuple(x for x in range(n) if x * (x - k) % n == 0)
 
 
 def reducibility_oracle(n, k):
@@ -80,7 +88,7 @@ def test_minimal_size_examples():
 
 
 def test_minimal_size_agrees_with_matrix_power_oracle():
-    for n in range(2, 20):
+    for n in range(2, 201):
         for k in range(n):
             assert minimal_monomial_size(n, k) == minimal_size_oracle(n, k)
 
@@ -133,6 +141,20 @@ def test_quadratic_roots_examples():
         (0, 3, 5, 8)
     assert quadratic_roots(10, 3).roots == (0, 3, 5, 8)
     assert quadratic_roots(4, 0).roots == (0, 2)
+
+
+def test_quadratic_roots_agree_with_scan():
+    for n in range(2, 401):
+        m = Modulus(n)
+        for k in range(n):
+            assert quadratic_roots(m, k).roots == roots_oracle(n, k), (n, k)
+    # prime powers 2**17, 3**11, 7**6 and composites with square factors;
+    # 42336 = 2**5 * 3**3 * 7**2 has a partial valuation at each small prime
+    for n in (2 ** 17, 3 ** 11, 7 ** 6, 2 ** 6 * 3 ** 4 * 5 ** 2,
+              2 ** 3 * 3 ** 2 * 5 * 7 * 11 * 13):
+        m = Modulus(n)
+        for k in (0, 42336, n // 2, n - 1):
+            assert quadratic_roots(m, k).roots == roots_oracle(n, k), (n, k)
 
 
 def test_quadratic_roots_symmetry():
@@ -344,6 +366,18 @@ def test_classify_reports_are_consistent():
                 assert isinstance(report.certificate, Exhausted)
             else:
                 assert isinstance(report.certificate, Decomposition)
+
+
+def test_classify_agrees_with_single_k_functions():
+    for n in range(2, 151):
+        for report in classify_monomials(n):
+            k, certificate = report.k, report.certificate
+            reducible, single = is_reducible_monomial(n, k)
+            assert (report.size, report.sign) == minimal_monomial_size(n, k)
+            assert report.irreducible == (not reducible)
+            # equal summands, or equal (size, roots), which fix `examined`
+            assert certificate == single, (n, k)
+            assert certificate.summary() == single.summary()
 
 
 def test_negated_residue_has_same_verdict_and_size():
