@@ -27,22 +27,8 @@ from math import gcd
 
 from .errors import InternalCheckError, UsageError, VerificationError
 from .ring import (MAX_MODULUS, Mat2, Modulus, Residue, as_modulus, as_residue,
-                   elementary, mat_pow, _mul)
+                   elementary, mat_pow)
 from .words import Word, is_solution, oplus, word
-
-
-def _elementary_tuple(k: int, n: int) -> tuple[int, int, int, int]:
-    return (k % n, -1 % n, 1 % n, 0)
-
-
-def _elementary_power_tuples(m: Modulus, k: int, jmax: int) -> list[tuple]:
-    """Raw E(k)**j for j = 0..jmax, built incrementally."""
-    n = m.n
-    ek = _elementary_tuple(k, n)
-    powers = [(1 % n, 0, 0, 1 % n)]
-    for _ in range(jmax):
-        powers.append(_mul(ek, powers[-1], n))
-    return powers
 
 
 def size_cap(modulus: "Modulus | int") -> int:

@@ -3,6 +3,8 @@
 Every test prints one `criterion NN <label>: PASS/FAIL (elapsed)` line and
 enforces its time budget; run with `pytest -s tests/test_acceptance.py` to
 see the lines.  All comparisons are exact; nothing here is tolerance-based.
+Criteria 02-09 call the `check_*` functions of `cwlab.verification`, the one
+implementation of each statement that `cwl verify` also runs.
 """
 
 import json
@@ -10,20 +12,29 @@ import subprocess
 import sys
 import time
 
-from cwlab.bruteforce import EnumerationQuery, enumerate_solutions, is_reducible_oracle
 from cwlab.cli import main
-from cwlab.monomial import (
-    ZeroExcluded,
-    closed_form_size,
-    is_reducible_monomial,
-    minimal_monomial_size,
-    odd_boundary_word,
-    power_monomial_word,
-    two_boundary_word,
+from cwlab.monomial import is_reducible_monomial
+from cwlab.numtheory import euler_phi
+from cwlab.verification import (
+    _boundary_pairs,
+    check_binomial_lemmas,
+    check_boundary_rigidity,
+    check_catalog_size_2,
+    check_catalog_size_3,
+    check_catalog_size_4,
+    check_census_symmetry,
+    check_closed_form_agreement,
+    check_family_soundness,
+    check_monomial_run_triple,
+    check_oracle_agreement,
+    check_power_matrix_identity,
+    check_size_table,
 )
-from cwlab.numtheory import binomial_valuation, euler_phi
-from cwlab.ring import Modulus, elementary, is_pm_identity, mat_mul, mat_pow
-from cwlab.words import equivalent, is_solution, oplus, word
+
+
+def assert_passes(*outcomes):
+    for outcome in outcomes:
+        assert outcome.passed, f"{outcome.name}: {outcome.detail}"
 
 
 def run_criterion(number, label, seconds, body):
@@ -58,79 +69,29 @@ def test_criterion_01_classification_counts(capsys):
             payload = cli_json(capsys, "monomial", str(n), "--all",
                                "--format", "json")
             assert payload["irreducible_count"] == 3 * 2 ** (exponent - 2) + 1
-        payload = cli_json(capsys, "monomial", "4", "--all",
-                           "--format", "json")
-        assert payload["irreducible_count"] == 3
+        for n, count in ((4, 3), (2, 1)):
+            payload = cli_json(capsys, "monomial", str(n), "--all",
+                               "--format", "json")
+            assert payload["irreducible_count"] == count
 
     run_criterion(1, "classification-counts", 5, body)
 
 
 def test_criterion_02_size_table():
-    def body():
-        def expect(n, k, size):
-            assert minimal_monomial_size(n, k)[0] == size, (n, k)
-
-        expect(10, 3, 15)
-        expect(30, 6, 12)
-        expect(9, 3, 6)
-        expect(8, 4, 4)
-        expect(6, 3, 6)
-        for exponent in range(2, 7):
-            n = 2 ** exponent
-            for a in range(1, n // 2, 2):
-                expect(n, 2 * a, n)
-        for p in (3, 5, 7):
-            for exponent in range(1, 4):
-                n = p ** exponent
-                expect(n, 0, 2)
-                for m_val in range(1, exponent):
-                    for k in range(p ** m_val, n, p ** m_val):
-                        if (k // p ** m_val) % p == 0:
-                            continue
-                        expect(n, k, 2 * p ** (exponent - m_val))
-        for base in (2, 3, 4, 5):
-            for exponent in (2, 3):
-                expect(base ** exponent, base, 2 * base ** (exponent - 1))
-
-    run_criterion(2, "size-table", 5, body)
+    run_criterion(2, "size-table", 5,
+                  lambda: assert_passes(check_size_table()))
 
 
 def test_criterion_03_closed_form_agreement():
-    def body():
-        checked = 0
-        for n in range(2, 201):
-            m = Modulus(n)
-            for k in range(n):
-                formula = closed_form_size(m, k)
-                if formula is None:
-                    continue
-                checked += 1
-                assert formula == minimal_monomial_size(m, k)[0], (n, k)
-        assert checked > 500
-
-    run_criterion(3, "closed-form-iterative-agreement", 30, body)
+    run_criterion(3, "closed-form-iterative-agreement", 30,
+                  lambda: assert_passes(check_closed_form_agreement(200)))
 
 
 def test_criterion_04_small_size_catalogs():
     def body():
         for n in range(2, 11):
-            m = Modulus(n)
-            size2 = {w.values for w in
-                     enumerate_solutions(EnumerationQuery(m, 2)).words}
-            assert size2 == {(0, 0)}, n
-            size3 = {w.values for w in
-                     enumerate_solutions(EnumerationQuery(m, 3)).words}
-            assert size3 == {(1 % n,) * 3, (-1 % n,) * 3}, n
-            expected4 = set()
-            for a in range(n):
-                for b in range(n):
-                    if a * b % n == 0:
-                        expected4.add((-a % n, b, a, -b % n))
-                    if a * b % n == 2 % n:
-                        expected4.add((a, b, a, b))
-            size4 = {w.values for w in
-                     enumerate_solutions(EnumerationQuery(m, 4)).words}
-            assert size4 == expected4, n
+            assert_passes(check_catalog_size_2(n), check_catalog_size_3(n),
+                          check_catalog_size_4(n), check_census_symmetry(n))
 
     run_criterion(4, "small-size-catalogs", 10, body)
 
@@ -138,25 +99,7 @@ def test_criterion_04_small_size_catalogs():
 def test_criterion_05_oracle_equivalence():
     def body():
         for n in range(2, 11):
-            m = Modulus(n)
-            for k in range(n):
-                structured, certificate = is_reducible_monomial(m, k)
-                if k == 0:
-                    # minimal solution (0,0) is below the oracle's length
-                    # domain; both sides exclude it from irreducibility
-                    assert structured and isinstance(certificate,
-                                                     ZeroExcluded)
-                    continue
-                h, _ = minimal_monomial_size(m, k)
-                target = word([k] * h, m)
-                oracle, witness = is_reducible_oracle(target)
-                assert oracle == structured, (n, k)
-                if oracle:
-                    left, right, _arrangement = witness
-                    assert len(left) >= 3 and len(right) >= 3
-                    assert is_solution(right) is not None
-                    assert is_solution(left) is not None
-                    assert equivalent(target, oplus(left, right))
+            assert_passes(check_oracle_agreement(n))
         assert is_reducible_monomial(10, 3)[0] is True
         assert is_reducible_monomial(8, 2)[0] is False
 
@@ -164,114 +107,32 @@ def test_criterion_05_oracle_equivalence():
 
 
 def test_criterion_06_power_matrix_identity():
-    def body():
-        for exponent in (3, 4, 5):
-            big = 2 ** (exponent + 1)
-            for a in (1, 3, 5, 7):
-                direct = mat_pow(elementary(2 * a % big, big), 2 ** exponent)
-                diag = (1 + 2 ** exponent * a * a) % big
-                off = 2 ** exponent * a % big
-                assert direct.entries() == (diag, off, -off % big, diag)
-
-    run_criterion(6, "two-power-product-identity", 1, body)
+    run_criterion(6, "two-power-product-identity", 1,
+                  lambda: assert_passes(check_power_matrix_identity()))
 
 
 def test_criterion_07_family_soundness():
-    def body():
-        count = 0
-        for base in range(2, 17):
-            exponent = 2
-            while base ** exponent <= 256:
-                for m_val in range(1, exponent):
-                    for a in range(base ** (exponent - m_val)):
-                        w = power_monomial_word(base, exponent, m_val, a)
-                        assert is_solution(w) is not None
-                        count += 1
-                if base > 2 and exponent >= 3:
-                    for m_val in range(1, exponent - 1):
-                        for a in range(base ** (exponent - m_val)):
-                            w = odd_boundary_word(base, exponent, m_val, a)
-                            assert is_solution(w) is not None
-                            count += 1
-                if base == 2 and exponent >= 4:
-                    for m_val in range(2, exponent - 1):
-                        for a in range(2 ** (exponent - m_val)):
-                            w = two_boundary_word(exponent, m_val, a)
-                            assert is_solution(w) is not None
-                            count += 1
-                exponent += 1
-        assert count > 300
-
-    run_criterion(7, "family-soundness", 5, body)
+    run_criterion(7, "family-soundness", 5,
+                  lambda: assert_passes(check_family_soundness(256)))
 
 
 def test_criterion_08_divisibility_suite():
-    def body():
-        import math
-
-        for l in range(2, 7):
-            for n in range(2, 7):
-                for j in range(1, n):
-                    assert binomial_valuation(l ** (n - 1), j, l) >= n - j
-            for n in range(3, 7):
-                for j in range(2, n):
-                    assert binomial_valuation(2 * l ** (n - 2), j, l) >= n - j
-        for n in range(1, 201):
-            for k in range(1, n + 1):
-                assert math.comb(n, k) % (n // math.gcd(n, k)) == 0
-        for n in range(3, 13):
-            for j in range(3, n + 1):
-                assert binomial_valuation(2 ** (n - 1), j, 2) >= n + 1 - j
-        for top in range(61):
-            for j in range(top + 1):
-                value = math.comb(top, j)
-                for base in (2, 3, 4, 5, 6, 12):
-                    exact = 0
-                    rest = value
-                    while rest % base == 0:
-                        rest //= base
-                        exact += 1
-                    assert binomial_valuation(top, j, base) == exact
-
-    run_criterion(8, "binomial-divisibility-suite", 5, body)
+    run_criterion(8, "binomial-divisibility-suite", 5,
+                  lambda: assert_passes(check_binomial_lemmas()))
 
 
 def test_criterion_09_boundary_rigidity_suites():
     def body():
         for n in range(2, 11):
-            m = Modulus(n)
-            letters = [elementary(v, m) for v in range(n)]
+            assert_passes(check_boundary_rigidity(n),
+                          check_monomial_run_triple(n))
+            # rigidity past the check's lengths 3..8
             for k in range(n):
-                mids = [mat_pow(letters[k], j) for j in range(11)]
-
-                def boundary_solution(a, b, length):
-                    mat = mat_mul(letters[b],
-                                  mat_mul(mids[length - 2], letters[a]))
-                    return is_pm_identity(mat) is not None
-
-                for length in range(3, 13):
-                    for a in range(n):
-                        for b in range(n):
-                            if boundary_solution(a, b, length):
-                                assert a == b and a * (a - k) % n == 0, \
-                                    (n, k, length, a, b)
-                h, _ = minimal_monomial_size(m, k)
-                mult = 1
-                while h * mult <= 12:
-                    base_len = h * mult
-                    for a in range(n):
-                        for b in range(n):
-                            if base_len >= 2 and \
-                                    boundary_solution(a, b, base_len):
-                                assert a == b == k, (n, k, base_len)
-                            if 2 <= base_len + 1 <= 12:
-                                assert not boundary_solution(a, b,
-                                                             base_len + 1), \
-                                    (n, k, base_len + 1)
-                            if base_len + 2 <= 12:
-                                if boundary_solution(a, b, base_len + 2):
-                                    assert a == b == 0, (n, k, base_len + 2)
-                    mult += 1
+                for length, pairs in _boundary_pairs(n, k,
+                                                     range(9, 13)).items():
+                    for a, b in pairs:
+                        assert a == b and a * (a - k) % n == 0, \
+                            (n, k, length, a, b)
 
     run_criterion(9, "boundary-rigidity-suites", 60, body)
 

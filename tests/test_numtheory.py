@@ -98,33 +98,3 @@ def test_binomial_valuation_against_exact_oracle():
             for base in (2, 3, 4, 5, 6, 10, 12):
                 assert binomial_valuation(top, j, base) == \
                     exact_base_valuation(value, base), (top, j, base)
-
-
-def test_prime_power_divides_binomial_of_power():
-    # l**(n-j) divides C(l**(n-1), j) for 1 <= j <= n - 1
-    for l in range(2, 7):
-        for n in range(2, 7):
-            for j in range(1, n):
-                assert binomial_valuation(l ** (n - 1), j, l) >= n - j
-
-
-def test_prime_power_divides_binomial_of_doubled_power():
-    # l**(n-j) divides C(2 l**(n-2), j) for 2 <= j <= n - 1
-    for l in range(2, 7):
-        for n in range(3, 7):
-            for j in range(2, n):
-                assert binomial_valuation(2 * l ** (n - 2), j, l) >= n - j
-
-
-def test_quotient_by_gcd_divides_binomial():
-    # n / gcd(n, k) divides C(n, k)
-    for n in range(1, 201):
-        for k in range(1, n + 1):
-            assert math.comb(n, k) % (n // math.gcd(n, k)) == 0
-
-
-def test_two_power_divides_binomial_of_half_power():
-    # 2**(n+1-j) divides C(2**(n-1), j) for 3 <= j <= n
-    for n in range(3, 13):
-        for j in range(3, n + 1):
-            assert binomial_valuation(2 ** (n - 1), j, 2) >= n + 1 - j
