@@ -46,7 +46,6 @@ from .numtheory import (
     Factorization,
     binomial_valuation,
     euler_phi,
-    factor_along,
     factorize,
     valuation,
 )
@@ -56,7 +55,6 @@ from .ring import (
     Modulus,
     Residue,
     elementary,
-    elementary_inverse,
     identity,
     is_pm_identity,
     mat_mul,

@@ -7,8 +7,11 @@ depth-first, carrying the running matrix product so each extension costs
 one multiplication.  The last two letters are not scanned: the prefix's
 matrix either rules out every tail or forces the only one (see
 enumerate_solutions), so every solution is still found and each costs one
-test.  Both the scan order and the oracle's search order are fixed, which
-makes output and witnesses reproducible byte for byte.
+test.  Deduplication builds each class's 2n rotations and reversals once,
+when the scan finds its first member, so it costs classes * 2n arrangements
+plus one set lookup per solution.  Both the scan order and the oracle's
+search order are fixed, which makes output and witnesses reproducible byte
+for byte.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, InternalCheckError, UsageError
 from .ring import Modulus, _mul, _pm_sign
-from .words import (Word, _least_arrangement, is_solution,
-                    rotations_and_reversals)
+from .words import Word, is_solution, rotations_and_reversals
 
 #: Default enumeration budget, in matrix multiplications.  The CLI lets the
 #: environment override it (CWL_BUDGET).
@@ -31,9 +33,11 @@ DEFAULT_BUDGET = 10**8
 class EnumerationQuery:
     """A request to enumerate all solutions of a given size.
 
-    dedup collapses the output by canonical form; count_only keeps only the
-    total.  The budget is checked before scanning: the scan needs about
-    N**(size-2) multiplications.
+    dedup collapses the output to one least arrangement per class (the
+    canonical form), at a cost of 2n arrangements per class plus one set
+    lookup per solution; count_only keeps only the total.  The budget is
+    checked before scanning: the scan needs about N**(size-2)
+    multiplications.
     """
 
     modulus: Modulus
@@ -84,6 +88,12 @@ def enumerate_solutions(query: EnumerationQuery) -> Census:
     follows from det P = 1.  Since +1 and -1 differ for N > 2 and give the
     same tail for N = 2, each prefix has at most one solution, so the words
     come out in lexicographic order.
+
+    Under dedup, the first solution v of a class builds its orbit (the
+    rotations of v and of its reversal) once, keeps min(orbit) and leaves
+    the other members in a pending set; the scan yields each word once, so
+    a later member costs one lookup and is removed.  No closure of the
+    solutions under arrangement is assumed: orbits partition all words.
     """
     m = query.modulus
     n = m.n
@@ -98,8 +108,13 @@ def enumerate_solutions(query: EnumerationQuery) -> Census:
     minus_one = -1 % n
     prefix = [(one, 0, 0, one)] * (prefix_len + 1)
     digits = [0] * prefix_len
+    keep = not query.count_only
+    dedup = query.dedup
     total = 0
-    raw: list[tuple[int, ...]] = []
+    # every solution in scan order or, under dedup, one least arrangement
+    # per class; pending holds the members of those classes not scanned yet
+    found: list[tuple[int, ...]] = []
+    pending: set[tuple[int, ...]] = set()
     pos = 0
     while True:
         while pos < prefix_len:
@@ -112,8 +127,19 @@ def enumerate_solutions(query: EnumerationQuery) -> Census:
         if a == one or a == minus_one:
             # a = -s, so (x, y) = (a c, -a b)
             total += 1
-            if not query.count_only:
-                raw.append(tuple(digits) + (a * c % n, -a * b % n))
+            if keep:
+                v = tuple(digits) + (a * c % n, -a * b % n)
+                if not dedup:
+                    found.append(v)
+                elif v in pending:
+                    pending.remove(v)
+                else:
+                    # first member of its class: build the orbit once
+                    orbit = {seq[r:] + seq[:r] for seq in (v, v[::-1])
+                             for r in range(size)}
+                    found.append(min(orbit))
+                    orbit.discard(v)
+                    pending |= orbit
         pos = prefix_len - 1
         while pos >= 0 and digits[pos] == n - 1:
             digits[pos] = 0
@@ -122,14 +148,9 @@ def enumerate_solutions(query: EnumerationQuery) -> Census:
             break
         digits[pos] += 1
 
-    if query.count_only:
-        words: tuple[Word, ...] = ()
-    elif query.dedup:
-        classes = sorted({_least_arrangement(v) for v in raw})
-        words = tuple(Word(v, m) for v in classes)
-    else:
-        words = tuple(Word(v, m) for v in raw)
-    return Census(m, size, total, query.dedup, words)
+    if dedup:
+        found.sort()
+    return Census(m, size, total, dedup, tuple(Word(v, m) for v in found))
 
 
 def census_json_dict(census: Census) -> dict:

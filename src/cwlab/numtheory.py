@@ -74,25 +74,6 @@ def valuation(x: int, p: int) -> int:
     return e
 
 
-def factor_along(k: int, n: Factorization) -> tuple[int, tuple[int, ...]]:
-    """Split k >= 1 along the primes of n.
-
-    Returns (a, betas) with k == a * prod(p_i**beta_i), beta_i the exact
-    p_i-adic valuation of k (deliberately not capped at the exponent in n)
-    and a coprime to every p_i.
-    """
-    if not isinstance(k, int) or k < 1:
-        raise UsageError(f"factor_along expects k >= 1, got {k!r}; "
-                         "k == 0 has no valuation")
-    a = k
-    betas = []
-    for p, _ in n.factors:
-        b = valuation(k, p)
-        betas.append(b)
-        a //= p**b
-    return a, tuple(betas)
-
-
 def _carry_count(i: int, j: int, p: int) -> int:
     """Number of carries when adding i and j in base p (both >= 0)."""
     carries = 0

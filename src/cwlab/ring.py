@@ -158,14 +158,6 @@ def elementary(k: "Residue | int", modulus: "Modulus | int | None" = None) -> Ma
     return Mat2(r.value, -1 % m.n, 1 % m.n, 0, m)
 
 
-def elementary_inverse(k: "Residue | int",
-                       modulus: "Modulus | int | None" = None) -> Mat2:
-    """[[0, 1], [-1, k]], the two-sided inverse of elementary(k)."""
-    r = as_residue(k, modulus)
-    m = r.modulus
-    return Mat2(0, 1 % m.n, -1 % m.n, r.value, m)
-
-
 def _mul(a: tuple[int, int, int, int], b: tuple[int, int, int, int],
          n: int) -> tuple[int, int, int, int]:
     """Raw 2x2 product mod n on plain tuples; the hot-loop workhorse."""

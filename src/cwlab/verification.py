@@ -98,9 +98,10 @@ def check_catalog_size_4(n: int) -> CheckOutcome:
 
 def check_census_symmetry(n: int) -> CheckOutcome:
     got = _census_set(n, 4)
+    m = Modulus(n)
     failures = []
     for values in sorted(got):
-        w = Word(values, Modulus(n))
+        w = Word(values, m)
         for t in rotations_and_reversals(w):
             if t.values not in got:
                 failures.append(f"N={n}: {values} in census but arrangement "

@@ -17,6 +17,7 @@ from cwlab.verification import (
     check_oracle_agreement,
 )
 from cwlab.words import (
+    _least_arrangement,
     canonical_form,
     equivalent,
     is_solution,
@@ -155,6 +156,25 @@ def test_census_agrees_with_full_scan_oracle():
                 census = enumerate_solutions(query)
                 got = (census.total, [w.values for w in census.words])
                 assert got == enumerate_oracle(query), (n, size, flags)
+
+
+def test_dedup_is_least_arrangement_on_long_words():
+    # word lengths up to the census workload's, with short-orbit classes
+    # such as constant words and (a, b, a, b)
+    shapes = ([(2, size) for size in range(1, 17)]
+              + [(3, size) for size in range(1, 11)]
+              + [(5, size) for size in range(1, 8)]
+              + [(6, size) for size in range(1, 7)]
+              + [(n, 3) for n in range(2, 47)]
+              + [(n, 4) for n in range(2, 12)])
+    for n, size in shapes:
+        m = Modulus(n)
+        plain = enumerate_solutions(EnumerationQuery(m, size))
+        dedup = enumerate_solutions(EnumerationQuery(m, size, dedup=True))
+        assert dedup.total == plain.total, (n, size)
+        assert [w.values for w in dedup.words] == \
+            sorted({_least_arrangement(w.values) for w in plain.words}), \
+            (n, size)
 
 
 def test_query_validation():

@@ -6,7 +6,6 @@ from cwlab.errors import UsageError
 from cwlab.numtheory import (
     binomial_valuation,
     euler_phi,
-    factor_along,
     factorize,
     valuation,
 )
@@ -54,17 +53,6 @@ def test_euler_phi_matches_unit_count():
     for v in range(1, 200):
         units = sum(1 for i in range(1, v + 1) if math.gcd(i, v) == 1)
         assert euler_phi(v) == units
-
-
-def test_factor_along_examples():
-    assert factor_along(6, factorize(30)) == (1, (1, 1, 0))
-    assert factor_along(8, factorize(16)) == (1, (3,))
-    assert factor_along(12, factorize(9)) == (4, (1,))
-
-
-def test_factor_along_rejects_zero():
-    with pytest.raises(UsageError):
-        factor_along(0, factorize(30))
 
 
 def test_valuation_basics():
