@@ -1,6 +1,7 @@
 """Brute-force ground truth: exhaustive enumeration of solutions at small
 N and n, and an unstructured reducibility oracle that searches every
-arrangement, split and boundary pair instead of trusting any structure.
+distinct arrangement, split and boundary pair instead of trusting any
+structure.
 
 The enumeration scans the N**(n-2) prefixes of the first n-2 letters
 depth-first, carrying the running matrix product so each extension costs
@@ -185,6 +186,10 @@ def is_reducible_oracle(w: Word):
     solution.  The left summand is then a solution too (the sum equals t,
     which is a solution), and that is double-checked rather than assumed.
 
+    An arrangement whose values equal an earlier one's is skipped: its
+    candidates were all tried already, so the verdict and the first witness
+    are unchanged, and a constant word costs one arrangement instead of 2n.
+
     Returns (True, (left, right, arrangement)) for the first witness in
     scan order, or (False, None) after an exhaustive search.
     """
@@ -195,8 +200,12 @@ def is_reducible_oracle(w: Word):
         raise UsageError(f"oracle expects length >= 3, got {n}")
     big = w.modulus.n
     letters = [(v, -1 % big, 1 % big, 0) for v in range(big)]
+    searched = set()
     for t in rotations_and_reversals(w):
         tv = t.values
+        if tv in searched:
+            continue
+        searched.add(tv)
         for right_len in range(3, n):
             left_len = n + 2 - right_len
             interior = tv[left_len:]

@@ -28,7 +28,7 @@ from math import gcd
 from .errors import InternalCheckError, UsageError, VerificationError
 from .ring import (MAX_MODULUS, Mat2, Modulus, Residue, as_modulus, as_residue,
                    elementary, mat_pow)
-from .words import Word, is_solution, oplus, word
+from .words import Word, is_solution, oplus
 
 
 def size_cap(modulus: "Modulus | int") -> int:
@@ -151,7 +151,7 @@ def quadratic_roots(modulus: "Modulus | int",
 
 
 def _checked_solution_word(values, modulus, what: str) -> Word:
-    w = word(values, modulus)
+    w = Word(tuple(values), modulus)
     if is_solution(w) is None:
         raise InternalCheckError(f"{what} failed to produce a solution: {w!r}")
     return w

@@ -10,13 +10,16 @@ from cwlab.bruteforce import (
     is_reducible_oracle,
 )
 from cwlab.errors import BudgetExceededError, UsageError
-from cwlab.ring import Modulus, _pm_sign
+from cwlab.monomial import minimal_monomial_size
+from cwlab.ring import Modulus, _mul, _pm_sign
 from cwlab.verification import (
+    _boundary_pairs,
     check_catalog_size_4,
     check_census_symmetry,
     check_oracle_agreement,
 )
 from cwlab.words import (
+    Word,
     _least_arrangement,
     canonical_form,
     equivalent,
@@ -233,3 +236,77 @@ def test_oracle_agrees_with_structured_decider():
     # criterion 05 covers N = 2..10
     assert [o.detail for o in map(check_oracle_agreement, range(11, 14))
             if not o.passed] == []
+
+
+def every_arrangement_oracle(w):
+    """The oracle's search without skipping repeated arrangements: every one
+    of the 2n arrangements, every split, every boundary pair."""
+    n = len(w)
+    big = w.modulus.n
+    letters = [(v, -1 % big, 1 % big, 0) for v in range(big)]
+    for t in rotations_and_reversals(w):
+        tv = t.values
+        for right_len in range(3, n):
+            left_len = n + 2 - right_len
+            interior = tv[left_len:]
+            prod = (1 % big, 0, 0, 1 % big)
+            for v in interior:
+                prod = _mul(letters[v], prod, big)
+            for b_first in range(big):
+                base = _mul(prod, letters[b_first], big)
+                for b_last in range(big):
+                    if _pm_sign(_mul(letters[b_last], base, big), big) is None:
+                        continue
+                    left = ((tv[0] - b_last) % big,) + tv[1:left_len - 1] \
+                        + ((tv[left_len - 1] - b_first) % big,)
+                    right = (b_first,) + interior + (b_last,)
+                    return True, (left, right, tv)
+    return False, None
+
+
+def oracle_values(w):
+    reducible, witness = is_reducible_oracle(w)
+    if witness is not None:
+        witness = tuple(part.values for part in witness)
+    return reducible, witness
+
+
+def test_oracle_matches_the_every_arrangement_search():
+    targets = [w for n in range(2, 7) for size in range(3, 7)
+               for w in enumerate_solutions(
+                   EnumerationQuery(Modulus(n), size)).words]
+    assert len(targets) == 1474
+    for n in range(2, 13):
+        m = Modulus(n)
+        targets.extend(Word((k,) * minimal_monomial_size(m, k)[0], m)
+                       for k in range(1, n))
+    for w in targets:
+        assert oracle_values(w) == every_arrangement_oracle(w), w
+
+
+def every_pair_scan(n, k, lengths):
+    """All N**2 boundary pairs (a, b) tested against E(k)**(length - 2)."""
+    letters = [(x, -1 % n, 1 % n, 0) for x in range(n)]
+    pairs = {}
+    for length in lengths:
+        mid = (1 % n, 0, 0, 1 % n)
+        for _ in range(length - 2):
+            mid = _mul(letters[k], mid, n)
+        pairs[length] = [
+            (a, b) for a in range(n) for b in range(n)
+            if _pm_sign(_mul(letters[b], _mul(mid, letters[a], n), n), n)
+            is not None]
+    return pairs
+
+
+def test_boundary_pairs_match_the_every_pair_scan():
+    lengths = range(2, 13)
+    for n in range(2, 17):
+        found = 0
+        for k in range(n):
+            pairs = _boundary_pairs(n, k, lengths)
+            assert pairs == every_pair_scan(n, k, lengths), (n, k)
+            found += sum(len(pairs[length]) for length in lengths
+                         if length >= 3)
+        # a scan that finds nothing must not pass
+        assert found > 0, n

@@ -34,6 +34,10 @@ def roots_without_k(modulus, k):
     return QuadraticRoots(modulus, k, (0,))
 
 
+def longer_arrangement(w):
+    return [Word(w.values + (0,), w.modulus)]
+
+
 # (dependency, broken stand-in, check, its arguments, expected counterexample)
 BROKEN = [
     ("minimal_monomial_size", size_off_by_one, "check_size_table", (),
@@ -56,11 +60,23 @@ BROKEN = [
      "N=3: a=(1, 0), b=(0, 0)"),
     ("rotations_and_reversals", lambda w: [Word((0,) * len(w), w.modulus)],
      "check_arrangement_stability", (3,), "N=3: (1, 1, 1) vs arrangement"),
+    # an arrangement missing from the status table is decided directly
+    ("rotations_and_reversals", longer_arrangement,
+     "check_arrangement_stability", (3,),
+     "N=3: (0, 0, 0) vs arrangement (0, 0, 0, 0)"),
 ]
 
 
+def _case_ids(cases):
+    """The check's name, suffixed with the stand-in's when it repeats."""
+    ids = []
+    for _, broken, check, _, _ in cases:
+        ids.append(check if check not in ids else f"{check}-{broken.__name__}")
+    return ids
+
+
 @pytest.mark.parametrize("name, broken, check, args, counterexample", BROKEN,
-                         ids=[case[2] for case in BROKEN])
+                         ids=_case_ids(BROKEN))
 def test_check_fails_with_a_counterexample(monkeypatch, name, broken, check,
                                            args, counterexample):
     monkeypatch.setattr(verification, name, broken)
