@@ -10,8 +10,6 @@ from .bruteforce import (
     DEFAULT_BUDGET,
     Census,
     EnumerationQuery,
-    census_csv,
-    census_json_dict,
     enumerate_solutions,
     is_reducible_oracle,
 )
@@ -47,13 +45,11 @@ from .numtheory import (
     binomial_valuation,
     euler_phi,
     factorize,
-    valuation,
 )
 from .ring import (
     MAX_MODULUS,
     Mat2,
     Modulus,
-    Residue,
     elementary,
     identity,
     is_pm_identity,
@@ -62,7 +58,6 @@ from .ring import (
     minus_identity,
 )
 from .words import (
-    SolutionRecord,
     Word,
     canonical_form,
     equivalent,

@@ -10,20 +10,20 @@ matrix either rules out every tail or forces the only one (see
 enumerate_solutions), so every solution is still found and each costs one
 test.  Deduplication builds each class's 2n rotations and reversals once,
 when the scan finds its first member, so it costs classes * 2n arrangements
-plus one set lookup per solution.  Both the scan order and the oracle's
-search order are fixed, which makes output and witnesses reproducible byte
-for byte.
+plus one set lookup per solution.  The oracle folds each split's interior
+with `ring._fold` and finds its boundary pairs with `ring._closing_pairs`,
+the O(N) scan that `verify` uses, so a split costs O(N) products.  Both the
+scan order and the oracle's search order are fixed, which makes output and
+witnesses reproducible byte for byte.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, InternalCheckError, UsageError
-from .ring import Modulus, _mul, _pm_sign
-from .words import Word, is_solution, rotations_and_reversals
+from .ring import Modulus, _closing_pairs, _fold
+from .words import Word, _arrangements, is_solution
 
 #: Default enumeration budget, in matrix multiplications.  The CLI lets the
 #: environment override it (CWL_BUDGET).
@@ -136,8 +136,7 @@ def enumerate_solutions(query: EnumerationQuery) -> Census:
                     pending.remove(v)
                 else:
                     # first member of its class: build the orbit once
-                    orbit = {seq[r:] + seq[:r] for seq in (v, v[::-1])
-                             for r in range(size)}
+                    orbit = set(_arrangements(v))
                     found.append(min(orbit))
                     orbit.discard(v)
                     pending |= orbit
@@ -154,27 +153,6 @@ def enumerate_solutions(query: EnumerationQuery) -> Census:
     return Census(m, size, total, dedup, tuple(Word(v, m) for v in found))
 
 
-def census_json_dict(census: Census) -> dict:
-    """The documented JSON shape: {N, n, total, dedup, representatives}."""
-    return {
-        "N": census.modulus.n,
-        "n": census.size,
-        "total": census.total,
-        "dedup": census.dedup,
-        "representatives": [list(w.values) for w in census.words],
-    }
-
-
-def census_csv(census: Census) -> str:
-    """CSV with one word per row and a header a1..an."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([f"a{i + 1}" for i in range(census.size)])
-    for w in census.words:
-        writer.writerow(list(w.values))
-    return out.getvalue()
-
-
 def is_reducible_oracle(w: Word):
     """Literal reducibility search for any solution word of length >= 3.
 
@@ -183,8 +161,11 @@ def is_reducible_oracle(w: Word):
     length n + 2 - l is then automatically >= 3), and every boundary pair
     (b_1, b_l) in row-major order, the split fixes the summand interiors
     from t; the candidate is accepted as soon as the right summand is a
-    solution.  The left summand is then a solution too (the sum equals t,
-    which is a solution), and that is double-checked rather than assumed.
+    solution.  The pairs come from `ring._closing_pairs` on the interior's
+    product, which tests all b_l only for the b_1 whose top row allows
+    +/-Id, so a split costs O(N) products and yields the same first pair as
+    the N**2 scan.  The left summand is then a solution too (the sum equals
+    t, which is a solution), and that is double-checked rather than assumed.
 
     An arrangement whose values equal an earlier one's is skipped: its
     candidates were all tried already, so the verdict and the first witness
@@ -199,31 +180,24 @@ def is_reducible_oracle(w: Word):
     if n < 3:
         raise UsageError(f"oracle expects length >= 3, got {n}")
     big = w.modulus.n
-    letters = [(v, -1 % big, 1 % big, 0) for v in range(big)]
     searched = set()
-    for t in rotations_and_reversals(w):
-        tv = t.values
+    for tv in _arrangements(w.values):
         if tv in searched:
             continue
         searched.add(tv)
         for right_len in range(3, n):
             left_len = n + 2 - right_len
             interior = tv[left_len:]
-            prod = (1 % big, 0, 0, 1 % big)
-            for v in interior:
-                prod = _mul(letters[v], prod, big)
-            for b_first in range(big):
-                base = _mul(prod, letters[b_first], big)
-                for b_last in range(big):
-                    if _pm_sign(_mul(letters[b_last], base, big), big) is None:
-                        continue
-                    left = Word(((tv[0] - b_last) % big,) + tv[1:left_len - 1]
-                                + ((tv[left_len - 1] - b_first) % big,),
-                                w.modulus)
-                    right = Word((b_first,) + interior + (b_last,), w.modulus)
-                    if is_solution(left) is None:
-                        raise InternalCheckError(
-                            f"left summand {left!r} of a found split is not "
-                            f"a solution")
-                    return True, (left, right, t)
+            pair = next(_closing_pairs(_fold(interior, big), big), None)
+            if pair is None:
+                continue
+            b_first, b_last = pair
+            left = Word(((tv[0] - b_last) % big,) + tv[1:left_len - 1]
+                        + ((tv[left_len - 1] - b_first) % big,), w.modulus)
+            right = Word((b_first,) + interior + (b_last,), w.modulus)
+            if is_solution(left) is None:
+                raise InternalCheckError(
+                    f"left summand {left!r} of a found split is not "
+                    f"a solution")
+            return True, (left, right, Word(tv, w.modulus))
     return False, None

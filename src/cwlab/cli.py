@@ -17,13 +17,7 @@ import json
 import os
 import sys
 
-from .bruteforce import (
-    DEFAULT_BUDGET,
-    EnumerationQuery,
-    census_csv,
-    census_json_dict,
-    enumerate_solutions,
-)
+from .bruteforce import DEFAULT_BUDGET, EnumerationQuery, enumerate_solutions
 from .errors import UsageError, VerificationError
 from .monomial import (
     Decomposition,
@@ -199,12 +193,14 @@ def cmd_enumerate(args) -> int:
                              count_only=args.count_only,
                              budget=_budget_from_env())
     census = enumerate_solutions(query)
+    rows = [list(w.values) for w in census.words]
     lines = [f"N={modulus.n} size={census.size}: {census.total} solutions"
              + (" (canonical representatives)" if census.dedup else "")]
-    for w in census.words:
-        lines.append(_word_str(w.values))
-    _emit(args, "\n".join(lines) + "\n", census_json_dict(census),
-          census_csv(census))
+    lines.extend(_word_str(row) for row in rows)
+    payload = {"N": modulus.n, "n": census.size, "total": census.total,
+               "dedup": census.dedup, "representatives": rows}
+    _emit(args, "\n".join(lines) + "\n", payload,
+          _csv_text([f"a{i + 1}" for i in range(census.size)], rows))
     return 0
 
 

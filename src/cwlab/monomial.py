@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InternalCheckError, UsageError, VerificationError
-from .ring import (MAX_MODULUS, Mat2, Modulus, Residue, as_modulus, as_residue,
-                   elementary, mat_pow)
+from .ring import MAX_MODULUS, Mat2, Modulus, as_modulus, elementary, mat_pow
 from .words import Word, is_solution, oplus
 
 
@@ -72,11 +71,11 @@ def _walk(n: int, k: int, cap: int
 
 
 def minimal_monomial_size(modulus: "Modulus | int",
-                          k: "Residue | int") -> tuple[int, int]:
+                          k: int) -> tuple[int, int]:
     """Smallest h >= 1 with E(k)**h = +/-Id, and the sign attained there:
     the first j with c_{j-1} = 0 and c_j = +/-1 on the continuant walk."""
     m = as_modulus(modulus)
-    h, sign, _ = _walk(m.n, as_residue(k, m).value, size_cap(m))
+    h, sign, _ = _walk(m.n, k % m.n, size_cap(m))
     return h, sign
 
 
@@ -126,8 +125,7 @@ class QuadraticRoots:
                 f"root set {self.roots} not closed under x -> k - x")
 
 
-def quadratic_roots(modulus: "Modulus | int",
-                    k: "Residue | int") -> QuadraticRoots:
+def quadratic_roots(modulus: "Modulus | int", k: int) -> QuadraticRoots:
     """All x in [0, N) with x(x - k) = 0 mod N, in closed form.
 
     For each prime power q = p**a exactly dividing N, let b be the p-adic
@@ -137,7 +135,7 @@ def quadratic_roots(modulus: "Modulus | int",
     remainder theorem, in O(sqrt(N) + #roots).
     """
     m = as_modulus(modulus)
-    kv = as_residue(k, m).value
+    kv = k % m.n
     roots, step = [0], 1
     for p, a in m.factors:
         q = p ** a
@@ -352,8 +350,7 @@ class MonomialReport:
     certificate: ReducibilityCertificate
 
 
-def monomial_report(modulus: "Modulus | int",
-                    k: "Residue | int") -> MonomialReport:
+def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
     """Minimal size, sign and certified reducibility verdict from one walk.
 
     The target of length h is reducible exactly when some right summand
@@ -367,7 +364,7 @@ def monomial_report(modulus: "Modulus | int",
     """
     m = as_modulus(modulus)
     n = m.n
-    kv = as_residue(k, m).value
+    kv = k % n
     h, sign, split = _walk(n, kv, size_cap(m))
     if kv == 0:
         certificate = ZeroExcluded()
@@ -384,15 +381,11 @@ def monomial_report(modulus: "Modulus | int",
                           certificate)
 
 
-def is_reducible_monomial(modulus: "Modulus | int", k: "Residue | int"
+def is_reducible_monomial(modulus: "Modulus | int", k: int
                           ) -> tuple[bool, ReducibilityCertificate]:
     """Decide reducibility of the minimal all-k solution, with certificate
-    (see monomial_report).  k = 0 returns the sentinel without a walk."""
-    m = as_modulus(modulus)
-    kv = as_residue(k, m).value
-    if kv == 0:
-        return True, ZeroExcluded()
-    report = monomial_report(m, kv)
+    (see monomial_report)."""
+    report = monomial_report(modulus, k)
     return not report.irreducible, report.certificate
 
 

@@ -26,9 +26,6 @@ class Factorization:
     value: int
     factors: tuple[tuple[int, int], ...]
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
 
 def factorize(v: int) -> Factorization:
     """Trial-division factorization of v >= 1.  v == 1 gives an empty list."""
@@ -59,19 +56,6 @@ def euler_phi(v: int) -> int:
     for p, _ in fac.factors:
         result = result // p * (p - 1)
     return result
-
-
-def valuation(x: int, p: int) -> int:
-    """Exact p-adic valuation of x >= 1."""
-    if x < 1:
-        raise UsageError(f"valuation expects x >= 1, got {x}")
-    if p < 2:
-        raise UsageError(f"valuation expects p >= 2, got {p}")
-    e = 0
-    while x % p == 0:
-        x //= p
-        e += 1
-    return e
 
 
 def _carry_count(i: int, j: int, p: int) -> int:

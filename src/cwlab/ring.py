@@ -1,8 +1,11 @@
-"""Residues and 2x2 determinant-one matrices over Z/NZ.
+"""2x2 determinant-one matrices over Z/NZ, and the raw kernels on them.
 
-All values are immutable and every operation is pure, so everything in this
-module is safe to share between threads.  Residues are stored as least
-nonnegative representatives; arbitrary integers are reduced on construction.
+Residues are plain ints reduced mod N to their least nonnegative
+representatives.  All values are immutable and every operation is pure, so
+everything in this module is safe to share between threads.  The private
+kernels work on (m11, m12, m21, m22) tuples: `_mul` multiplies two of them,
+`_fold` multiplies out the letters of a word, and `_closing_pairs` finds the
+boundary letters that close a product into +/-Id.
 """
 
 from __future__ import annotations
@@ -30,12 +33,6 @@ class Modulus:
         self.n = n
         self.factors = factorize(n).factors
 
-    def reduce(self, x: int) -> int:
-        return x % self.n
-
-    def residue(self, x: int) -> "Residue":
-        return Residue(x % self.n, self)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Modulus) and self.n == other.n
 
@@ -55,52 +52,6 @@ def _same_modulus(a: Modulus, b: Modulus) -> Modulus:
     if a != b:
         raise ModulusMismatchError(f"mixed moduli {a.n} and {b.n}")
     return a
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/NZ, stored as its least nonnegative representative."""
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.modulus.n:
-            raise UsageError(
-                f"residue value {self.value} outside [0, {self.modulus.n})"
-            )
-
-    def __add__(self, other: "Residue") -> "Residue":
-        m = _same_modulus(self.modulus, other.modulus)
-        return Residue((self.value + other.value) % m.n, m)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        m = _same_modulus(self.modulus, other.modulus)
-        return Residue((self.value - other.value) % m.n, m)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        m = _same_modulus(self.modulus, other.modulus)
-        return Residue((self.value * other.value) % m.n, m)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value % self.modulus.n, self.modulus)
-
-    def __repr__(self) -> str:
-        return f"Residue({self.value} mod {self.modulus.n})"
-
-
-def as_residue(k: "Residue | int", modulus: "Modulus | int | None" = None) -> Residue:
-    """Accept a Residue, or an arbitrary integer reduced into the given modulus."""
-    if isinstance(k, Residue):
-        if modulus is not None and as_modulus(modulus) != k.modulus:
-            raise ModulusMismatchError(
-                f"residue is mod {k.modulus.n}, expected mod {as_modulus(modulus).n}"
-            )
-        return k
-    if modulus is None:
-        raise UsageError("an integer residue needs an explicit modulus")
-    m = as_modulus(modulus)
-    return m.residue(k)
 
 
 @dataclass(frozen=True)
@@ -151,11 +102,11 @@ def minus_identity(modulus: "Modulus | int") -> Mat2:
     return Mat2(-1 % m.n, 0, 0, -1 % m.n, m)
 
 
-def elementary(k: "Residue | int", modulus: "Modulus | int | None" = None) -> Mat2:
-    """The matrix [[k, -1], [1, 0]]; the single letter of every word product."""
-    r = as_residue(k, modulus)
-    m = r.modulus
-    return Mat2(r.value, -1 % m.n, 1 % m.n, 0, m)
+def elementary(k: int, modulus: "Modulus | int") -> Mat2:
+    """The matrix [[k, -1], [1, 0]], k reduced mod N; the single letter of
+    every word product."""
+    m = as_modulus(modulus)
+    return Mat2(k % m.n, -1 % m.n, 1 % m.n, 0, m)
 
 
 def _mul(a: tuple[int, int, int, int], b: tuple[int, int, int, int],
@@ -167,6 +118,37 @@ def _mul(a: tuple[int, int, int, int], b: tuple[int, int, int, int],
             (a11 * b12 + a12 * b22) % n,
             (a21 * b11 + a22 * b21) % n,
             (a21 * b12 + a22 * b22) % n)
+
+
+def _fold(values, n: int) -> tuple[int, int, int, int]:
+    """E(a_n) ... E(a_1) mod n for values (a_1, ..., a_n), as a raw tuple.
+
+    Each letter multiplies on the left:
+    E(k) [[a, b], [c, d]] = [[k a - c, k b - d], [a, b]].
+    """
+    a, b, c, d = 1 % n, 0, 0, 1 % n
+    for k in values:
+        a, b, c, d = (k * a - c) % n, (k * b - d) % n, a, b
+    return a, b, c, d
+
+
+def _closing_pairs(middle: tuple[int, int, int, int], n: int):
+    """Yield the (a, b) with E(b) middle E(a) = +/-Id, in row-major order.
+
+    With X = middle E(a), the product E(b) X =
+    [[b X11 - X21, b X12 - X22], [X11, X12]] has X's top row as its bottom
+    row for every b, so it can be +/-Id only when (X11, X12) = (0, +/-1).
+    Each a costs one product; only the a that pass this test get the
+    literal scan of every b against E(b) X.
+    """
+    one, minus_one = 1 % n, -1 % n
+    for a in range(n):
+        x = _mul(middle, (a, minus_one, one, 0), n)
+        if x[0] != 0 or (x[1] != one and x[1] != minus_one):
+            continue
+        for b in range(n):
+            if _pm_sign(_mul((b, minus_one, one, 0), x, n), n) is not None:
+                yield a, b
 
 
 def _pm_sign(m: tuple[int, int, int, int], n: int) -> int | None:

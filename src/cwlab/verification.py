@@ -29,8 +29,9 @@ from .monomial import (
     quadratic_roots,
 )
 from .numtheory import binomial_valuation, factorize
-from .ring import Modulus, _mul, _pm_sign
-from .words import Word, equivalent, is_solution, oplus, rotations_and_reversals, word
+from .ring import Modulus, _closing_pairs, _mul, _pm_sign
+from .words import (Word, _arrangements, equivalent, is_solution, oplus,
+                    rotations_and_reversals, word)
 
 #: Moduli exercised by the prime-powers preset.
 PRIME_POWER_MODULI = (4, 8, 9, 16, 25, 27, 32, 49, 64, 81)
@@ -98,42 +99,24 @@ def check_catalog_size_4(n: int) -> CheckOutcome:
 
 def check_census_symmetry(n: int) -> CheckOutcome:
     got = _census_set(n, 4)
-    m = Modulus(n)
-    failures = []
-    for values in sorted(got):
-        w = Word(values, m)
-        for t in rotations_and_reversals(w):
-            if t.values not in got:
-                failures.append(f"N={n}: {values} in census but arrangement "
-                                f"{t.values} is not")
+    failures = [f"N={n}: {values} in census but arrangement {t} is not"
+                for values in sorted(got) for t in _arrangements(values)
+                if t not in got]
     return _outcome(f"census-symmetry N={n}", failures,
                     f"{len(got)} size-4 solutions closed under arrangement")
 
 
 def _boundary_pairs(n: int, k: int, lengths) -> dict[int, list]:
     """For each length >= 2 in `lengths`, the boundary pairs (a, b) for which
-    (a, k, ..., k, b) of that length is a solution, in row-major order.
-
-    With X = E(k)**(length - 2) E(a), the product E(b) X =
-    [[b X11 - X21, b X12 - X22], [X11, X12]] has X's top row as its bottom
-    row for every b, so it can be +/-Id only when (X11, X12) = (0, +/-1).
-    Each a costs one product; only the a that pass this test get the literal
-    scan of all b against E(b) X."""
-    letters = [(x, -1 % n, 1 % n, 0) for x in range(n)]
-    units = {1 % n, -1 % n}
+    (a, k, ..., k, b) of that length is a solution, in row-major order: the
+    `ring._closing_pairs` of E(k)**(length - 2), O(N) products each."""
+    ek = (k, -1 % n, 1 % n, 0)
     mid = (1 % n, 0, 0, 1 % n)  # E(k)**(length - 2), from length 2 up
     pairs = {}
     for length in range(2, max(lengths, default=1) + 1):
         if length in lengths:
-            pairs[length] = []
-            for a in range(n):
-                base = _mul(mid, letters[a], n)
-                if base[0] != 0 or base[1] not in units:
-                    continue
-                pairs[length].extend(
-                    (a, b) for b in range(n)
-                    if _pm_sign(_mul(letters[b], base, n), n) is not None)
-        mid = _mul(letters[k], mid, n)
+            pairs[length] = list(_closing_pairs(mid, n))
+        mid = _mul(ek, mid, n)
     return pairs
 
 

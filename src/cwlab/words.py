@@ -3,7 +3,9 @@ rotation and reversal, canonical forms, and the solution predicate.
 
 A word (a_1, ..., a_n) maps to the matrix E(a_n) E(a_{n-1}) ... E(a_1) with
 E(k) = [[k, -1], [1, 0]]: the first component is the rightmost factor.  A word
-is a solution when that product is plus or minus the identity.
+is a solution when that product is plus or minus the identity.  The product
+is `ring._fold`, and every arrangement of a word (equivalence, canonical
+forms, the census orbits) comes from `_arrangements`.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ModulusMismatchError, UsageError
-from .ring import Mat2, Modulus, Residue, as_modulus, _pm_sign
+from .errors import UsageError
+from .ring import Mat2, Modulus, as_modulus, _fold, _pm_sign, _same_modulus
 
 
 @dataclass(frozen=True)
@@ -44,18 +46,9 @@ class Word:
 
 
 def word(values, modulus: "Modulus | int") -> Word:
-    """Build a Word from arbitrary integers (or Residues), reducing mod N."""
+    """Build a Word from arbitrary integers, reducing mod N."""
     m = as_modulus(modulus)
-    reduced = []
-    for v in values:
-        if isinstance(v, Residue):
-            if v.modulus != m:
-                raise ModulusMismatchError(
-                    f"component is mod {v.modulus.n}, word is mod {m.n}")
-            reduced.append(v.value)
-        else:
-            reduced.append(v % m.n)
-    return Word(tuple(reduced), m)
+    return Word(tuple(v % m.n for v in values), m)
 
 
 def parse_word(text: str, modulus: "Modulus | int") -> Word:
@@ -72,50 +65,14 @@ def parse_word(text: str, modulus: "Modulus | int") -> Word:
     return word(values, m)
 
 
-def _same_word_modulus(u: Word, v: Word) -> Modulus:
-    if u.modulus != v.modulus:
-        raise ModulusMismatchError(
-            f"mixed moduli {u.modulus.n} and {v.modulus.n}")
-    return u.modulus
-
-
 def word_matrix(w: Word) -> Mat2:
-    """E(a_n) ... E(a_1) for w = (a_1, ..., a_n).
-
-    Components are folded left to right, each new letter multiplying on the
-    left, which realizes the reversal convention above.
-    """
-    if len(w) < 1:
-        raise UsageError("word_matrix needs a nonempty word")
-    n = w.modulus.n
-    a, b, c, d = 1 % n, 0, 0, 1 % n
-    for k in w.values:
-        # E(k) . [[a, b], [c, d]] = [[k a - c, k b - d], [a, b]]
-        a, b, c, d = (k * a - c) % n, (k * b - d) % n, a, b
-    return Mat2(a, b, c, d, w.modulus)
+    """E(a_n) ... E(a_1) for w = (a_1, ..., a_n)."""
+    return Mat2(*_fold(w.values, w.modulus.n), w.modulus)
 
 
 def is_solution(w: Word) -> int | None:
     """+1 or -1 when the word's matrix is plus/minus identity, else None."""
-    n = w.modulus.n
-    a, b, c, d = 1 % n, 0, 0, 1 % n
-    for k in w.values:
-        a, b, c, d = (k * a - c) % n, (k * b - d) % n, a, b
-    return _pm_sign((a, b, c, d), n)
-
-
-@dataclass(frozen=True)
-class SolutionRecord:
-    """A word together with its verified sign; construction re-checks it."""
-
-    word: Word
-    sign: int
-
-    def __post_init__(self):
-        actual = is_solution(self.word)
-        if actual != self.sign:
-            raise UsageError(
-                f"{self.word!r} has sign {actual}, not {self.sign}")
+    return _pm_sign(_fold(w.values, w.modulus.n), w.modulus.n)
 
 
 def oplus(a: Word, b: Word) -> Word:
@@ -126,7 +83,7 @@ def oplus(a: Word, b: Word) -> Word:
     of length n + m - 2.  Both operands need length >= 2 because the formula
     consumes both boundary entries of each.
     """
-    m = _same_word_modulus(a, b)
+    m = _same_modulus(a.modulus, b.modulus)
     if len(a) < 2 or len(b) < 2:
         raise UsageError("oplus needs both operands of length >= 2")
     n = m.n
@@ -136,34 +93,25 @@ def oplus(a: Word, b: Word) -> Word:
     return Word(out, m)
 
 
-def rotations_and_reversals(w: Word) -> list[Word]:
-    """All cyclic rotations of w, then all rotations of the reversed word.
+def _arrangements(values: tuple[int, ...]):
+    """The rotations of values, then the rotations of their reversal.
 
-    Always returns exactly 2n words; duplicates are retained so callers get a
-    fixed, reproducible scan order.
+    Always 2n tuples, duplicates retained, in a fixed scan order.
     """
-    n = len(w)
-    vals = w.values
-    rev = vals[::-1]
-    out = []
-    for seq in (vals, rev):
-        for r in range(n):
-            out.append(Word(seq[r:] + seq[:r], w.modulus))
-    return out
+    return (seq[r:] + seq[:r] for seq in (values, values[::-1])
+            for r in range(len(values)))
+
+
+def rotations_and_reversals(w: Word) -> list[Word]:
+    """All cyclic rotations of w, then all rotations of the reversed word:
+    exactly 2n words, duplicates retained."""
+    return [Word(t, w.modulus) for t in _arrangements(w.values)]
 
 
 def equivalent(u: Word, v: Word) -> bool:
     """True when v is a rotation of u or of u reversed."""
-    _same_word_modulus(u, v)
-    if len(u) != len(v):
-        return False
-    return any(v.values == t.values for t in rotations_and_reversals(u))
-
-
-def _least_arrangement(values: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically smallest rotation of values or of their reversal."""
-    return min(seq[r:] + seq[:r] for seq in (values, values[::-1])
-               for r in range(len(values)))
+    _same_modulus(u.modulus, v.modulus)
+    return len(u) == len(v) and v.values in _arrangements(u.values)
 
 
 def canonical_form(w: Word) -> Word:
@@ -172,4 +120,4 @@ def canonical_form(w: Word) -> Word:
     Idempotent, and two words are equivalent exactly when their canonical
     forms are equal.
     """
-    return Word(_least_arrangement(w.values), w.modulus)
+    return Word(min(_arrangements(w.values)), w.modulus)

@@ -227,6 +227,7 @@ def test_enumerate_text_json_csv(capsys):
 
     code, out, _ = run_cli(capsys, "enumerate", "5", "3", "--format", "csv")
     assert out.splitlines()[0] == "a1,a2,a3"
+    assert out.splitlines()[1:] == ["1,1,1", "4,4,4"]
 
 
 def test_enumerate_count_only_and_dedup(capsys):

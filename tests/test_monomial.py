@@ -10,6 +10,7 @@ from cwlab.monomial import (
     family_word,
     is_reducible_monomial,
     minimal_monomial_size,
+    monomial_report,
     odd_boundary_word,
     power_matrix_identity,
     power_monomial_word,
@@ -356,6 +357,19 @@ def test_negated_residue_has_same_verdict_and_size():
             assert h_pos == h_neg
             assert is_reducible_monomial(n, k)[0] == \
                 is_reducible_monomial(n, -k % n)[0]
+
+
+def test_unreduced_integers_act_as_their_residue():
+    for n in (2, 10, 16, 97):
+        for k in (-1, -n - 2, n, n + 3, 2**40):
+            r = k % n
+            assert monomial_report(n, k) == monomial_report(n, r), (n, k)
+            assert minimal_monomial_size(n, k) == minimal_monomial_size(n, r)
+            # the whole record: its roots and its reduced k
+            assert quadratic_roots(n, k) == quadratic_roots(n, r)
+            assert is_reducible_monomial(n, k) == is_reducible_monomial(n, r)
+            assert elementary(k, n) == elementary(r, n)
+            assert word([k], n) == word([r], n)
 
 
 def test_half_modulus_rule():

@@ -7,7 +7,6 @@ from cwlab.numtheory import (
     binomial_valuation,
     euler_phi,
     factorize,
-    valuation,
 )
 
 
@@ -31,7 +30,6 @@ def test_factorize_reconstructs():
     for v in range(1, 500):
         fac = factorize(v)
         assert math.prod(p**e for p, e in fac.factors) == v
-        assert list(fac.primes()) == sorted(fac.primes())
 
 
 def test_factorize_rejects_bad_input():
@@ -53,12 +51,6 @@ def test_euler_phi_matches_unit_count():
     for v in range(1, 200):
         units = sum(1 for i in range(1, v + 1) if math.gcd(i, v) == 1)
         assert euler_phi(v) == units
-
-
-def test_valuation_basics():
-    assert valuation(12, 2) == 2
-    assert valuation(12, 3) == 1
-    assert valuation(7, 5) == 0
 
 
 def test_binomial_valuation_examples():

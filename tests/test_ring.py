@@ -23,34 +23,10 @@ def test_modulus_validation():
     assert Modulus(12).factors == ((2, 2), (3, 1))
 
 
-def test_residue_arithmetic():
-    m = Modulus(7)
-    a, b = m.residue(5), m.residue(4)
-    assert (a + b).value == 2
-    assert (a - b).value == 1
-    assert (a * b).value == 6
-    assert (-a).value == 2
-    with pytest.raises(ModulusMismatchError):
-        a + Modulus(5).residue(1)
-
-
-def test_residue_reduces_arbitrary_integers():
-    m = Modulus(10)
-    assert m.residue(-2).value == 8
-    assert m.residue(23).value == 3
-
-
 def test_elementary_examples():
     assert elementary(0, 7).rows() == [[0, 6], [1, 0]]
     assert elementary(2, 5).rows() == [[2, 4], [1, 0]]
     assert elementary(3, 10).rows() == [[3, 9], [1, 0]]
-
-
-def test_elementary_accepts_residue():
-    m = Modulus(5)
-    assert elementary(m.residue(2)) == elementary(2, 5)
-    with pytest.raises(UsageError):
-        elementary(2)  # a bare integer needs a modulus
 
 
 def test_mat_pow_examples():

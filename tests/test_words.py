@@ -12,7 +12,6 @@ from cwlab.verification import (
     check_catalog_size_4,
 )
 from cwlab.words import (
-    SolutionRecord,
     Word,
     canonical_form,
     equivalent,
@@ -99,15 +98,6 @@ def test_is_solution_examples():
         for k in range(n):
             assert is_solution(word([k], n)) is None
     assert is_solution(word([8, 3, 3, 3, 8], 10)) == -1
-
-
-def test_solution_record_validates():
-    w = word([0, 0], 10)
-    SolutionRecord(w, -1)
-    with pytest.raises(UsageError):
-        SolutionRecord(w, 1)
-    with pytest.raises(UsageError):
-        SolutionRecord(word([1, 2], 10), 1)
 
 
 def test_oplus_examples():
