@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cwlab.bruteforce import (
@@ -5,6 +7,7 @@ from cwlab.bruteforce import (
     enumerate_solutions,
     is_reducible_oracle,
 )
+from cwlab.cli import main
 from cwlab.errors import BudgetExceededError, UsageError
 from cwlab.monomial import minimal_monomial_size
 from cwlab.ring import Modulus, _mul, _pm_sign
@@ -75,11 +78,20 @@ def test_census_symmetry():
             if not o.passed] == []
 
 
-def test_census_determinism():
+def _enumerate_output(capsys, *argv):
+    assert main(["enumerate", *argv]) == 0
+    return capsys.readouterr().out
+
+
+def test_census_determinism(capsys):
     query = EnumerationQuery(Modulus(7), 4, dedup=True)
     first = enumerate_solutions(query)
     second = enumerate_solutions(query)
     assert first == second
+    assert json.loads(_enumerate_output(capsys, "7", "4", "--dedup",
+                                        "--format", "json")) == \
+        json.loads(_enumerate_output(capsys, "7", "4", "--dedup",
+                                     "--format", "json"))
 
 
 def test_budget_enforced():
@@ -179,6 +191,20 @@ def test_query_validation():
         EnumerationQuery(Modulus(5), 0)
     with pytest.raises(UsageError):
         EnumerationQuery(Modulus(5), 3, budget=0)
+
+
+def test_census_serialization(capsys):
+    census = enumerate_solutions(EnumerationQuery(Modulus(5), 3))
+    payload = json.loads(_enumerate_output(capsys, "5", "3",
+                                           "--format", "json"))
+    assert payload == {"N": 5, "n": 3, "total": 2, "dedup": False,
+                       "representatives": [[1, 1, 1], [4, 4, 4]]}
+    assert payload["total"] == census.total
+    assert payload["representatives"] == [list(w.values)
+                                          for w in census.words]
+    text = _enumerate_output(capsys, "5", "3", "--format", "csv")
+    assert text.splitlines()[0] == "a1,a2,a3"
+    assert text.splitlines()[1:] == ["1,1,1", "4,4,4"]
 
 
 def test_oracle_reducible_monomial_mod_ten():
