@@ -19,8 +19,7 @@ witnesses reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import Record
 from .errors import BudgetExceededError, InternalCheckError, UsageError
 from .ring import Modulus, _closing_pairs, _fold
 from .words import Word, _arrangements, is_solution
@@ -30,8 +29,7 @@ from .words import Word, _arrangements, is_solution
 DEFAULT_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class EnumerationQuery:
+class EnumerationQuery(Record):
     """A request to enumerate all solutions of a given size.
 
     dedup collapses the output to one least arrangement per class (the
@@ -41,31 +39,36 @@ class EnumerationQuery:
     multiplications.
     """
 
-    modulus: Modulus
-    size: int
-    dedup: bool = False
-    count_only: bool = False
-    budget: int = DEFAULT_BUDGET
+    __slots__ = ("modulus", "size", "dedup", "count_only", "budget")
 
-    def __post_init__(self):
-        if self.size < 1:
-            raise UsageError(f"size must be >= 1, got {self.size}")
-        if self.budget < 1:
-            raise UsageError(f"budget must be >= 1, got {self.budget}")
+    def __init__(self, modulus: Modulus, size: int, dedup: bool = False,
+                 count_only: bool = False, budget: int = DEFAULT_BUDGET):
+        if size < 1:
+            raise UsageError(f"size must be >= 1, got {size}")
+        if budget < 1:
+            raise UsageError(f"budget must be >= 1, got {budget}")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "dedup", dedup)
+        object.__setattr__(self, "count_only", count_only)
+        object.__setattr__(self, "budget", budget)
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(Record):
     """Result of an enumeration: the raw solution count and, unless
     count_only was set, the solution words (canonical representatives,
     pairwise inequivalent, when dedup was set; otherwise every solution in
     scan order)."""
 
-    modulus: Modulus
-    size: int
-    total: int
-    dedup: bool
-    words: tuple[Word, ...] = field(default=())
+    __slots__ = ("modulus", "size", "total", "dedup", "words")
+
+    def __init__(self, modulus: Modulus, size: int, total: int, dedup: bool,
+                 words: tuple[Word, ...] = ()):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "dedup", dedup)
+        object.__setattr__(self, "words", words)
 
 
 def _check_budget(n: int, exponent: int, budget: int) -> None:

@@ -22,9 +22,9 @@ unstructured search in the bruteforce module cross-checks this logic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import Record
 from .errors import InternalCheckError, UsageError, VerificationError
 from .ring import MAX_MODULUS, Mat2, Modulus, as_modulus, elementary, mat_pow
 from .words import Word, is_solution, oplus
@@ -106,23 +106,23 @@ def closed_form_size(modulus: "Modulus | int", k: int) -> int | None:
     return result
 
 
-@dataclass(frozen=True)
-class QuadraticRoots:
+class QuadraticRoots(Record):
     """All x in Z/NZ with x(x - k) = 0; always contains 0 and k and is
     closed under x -> k - x."""
 
-    modulus: Modulus
-    k: int
-    roots: tuple[int, ...]
+    __slots__ = ("modulus", "k", "roots")
 
-    def __post_init__(self):
-        n = self.modulus.n
-        rs = set(self.roots)
-        if 0 not in rs or self.k % n not in rs:
-            raise InternalCheckError(f"root set {self.roots} misses 0 or k")
-        if {(self.k - x) % n for x in rs} != rs:
+    def __init__(self, modulus: Modulus, k: int, roots: tuple[int, ...]):
+        n = modulus.n
+        rs = set(roots)
+        if 0 not in rs or k % n not in rs:
+            raise InternalCheckError(f"root set {roots} misses 0 or k")
+        if {(k - x) % n for x in rs} != rs:
             raise InternalCheckError(
-                f"root set {self.roots} not closed under x -> k - x")
+                f"root set {roots} not closed under x -> k - x")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "roots", roots)
 
 
 def quadratic_roots(modulus: "Modulus | int", k: int) -> QuadraticRoots:
@@ -249,8 +249,7 @@ def power_matrix_identity(n: int, a: int) -> Mat2:
     return product
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """A verified split of the target into left (+) right.
 
     Construction re-checks everything the split claims, in O(h): both
@@ -261,30 +260,30 @@ class Decomposition:
     reproduces it exactly.
     """
 
-    target: Word
-    left: Word
-    right: Word
+    __slots__ = ("target", "left", "right")
 
     variant = "decomposition"
     rotation_note = "left (+) right reproduces the all-k target exactly"
 
-    def __post_init__(self):
-        if len(self.left) < 3 or len(self.right) < 3:
+    def __init__(self, target: Word, left: Word, right: Word):
+        if len(left) < 3 or len(right) < 3:
             raise InternalCheckError("decomposition summand shorter than 3")
-        if is_solution(self.right) is None:
+        if is_solution(right) is None:
             raise InternalCheckError(
-                f"right summand {self.right!r} is not a solution")
-        if oplus(self.left, self.right) != self.target:
+                f"right summand {right!r} is not a solution")
+        if oplus(left, right) != target:
             raise InternalCheckError(
-                f"{self.left!r} (+) {self.right!r} is not {self.target!r}")
+                f"{left!r} (+) {right!r} is not {target!r}")
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def summary(self) -> str:
         return (f"splits as {len(self.left)}+{len(self.right)} with "
                 f"boundaries {self.left[0]}/{self.right[0]}")
 
 
-@dataclass(frozen=True)
-class ExaminedSplit:
+class ExaminedSplit(Record):
     """One rejected candidate: right summand length and boundary root.
 
     Its right summand is not a solution.  That is the only reason a
@@ -292,23 +291,28 @@ class ExaminedSplit:
     too, by sum stability.
     """
 
-    right_length: int
-    root: int
+    __slots__ = ("right_length", "root")
 
     reason = "right-not-solution"
 
+    def __init__(self, right_length: int, root: int):
+        object.__setattr__(self, "right_length", right_length)
+        object.__setattr__(self, "root", root)
 
-@dataclass(frozen=True)
-class Exhausted:
+
+class Exhausted(Record):
     """No right summand (x, k, ..., k, x) with x in `roots` and length in
     [3, size - 1] is a solution, i.e. no continuant c_j with j <= size - 3
     is +/-1.  The claim is the proof of irreducibility relative to the
     forced summand shape; `examined` lists its candidates on demand."""
 
-    size: int
-    roots: tuple[int, ...]
+    __slots__ = ("size", "roots")
 
     variant = "exhausted"
+
+    def __init__(self, size: int, roots: tuple[int, ...]):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "roots", roots)
 
     @property
     def examined(self) -> tuple[ExaminedSplit, ...]:
@@ -321,15 +325,18 @@ class Exhausted:
                 f"split candidates")
 
 
-@dataclass(frozen=True)
-class ZeroExcluded:
+class ZeroExcluded(Record):
     """Sentinel for k = 0: the minimal solution is the pair (0, 0), which by
     convention is not counted as irreducible (and is too short for the
     reducibility definition to apply)."""
 
-    note: str = "minimal solution is (0, 0); excluded from irreducibility"
+    __slots__ = ("note",)
 
     variant = "zero-excluded"
+
+    def __init__(self, note: str = ("minimal solution is (0, 0); "
+                                    "excluded from irreducibility")):
+        object.__setattr__(self, "note", note)
 
     def summary(self) -> str:
         return self.note
@@ -338,16 +345,19 @@ class ZeroExcluded:
 ReducibilityCertificate = Decomposition | Exhausted | ZeroExcluded
 
 
-@dataclass(frozen=True)
-class MonomialReport:
+class MonomialReport(Record):
     """Per-k record: minimal size, sign there, verdict and certificate."""
 
-    modulus: Modulus
-    k: int
-    size: int
-    sign: int
-    irreducible: bool
-    certificate: ReducibilityCertificate
+    __slots__ = ("modulus", "k", "size", "sign", "irreducible", "certificate")
+
+    def __init__(self, modulus: Modulus, k: int, size: int, sign: int,
+                 irreducible: bool, certificate: ReducibilityCertificate):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "irreducible", irreducible)
+        object.__setattr__(self, "certificate", certificate)
 
 
 def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:

@@ -6,8 +6,7 @@ passes through floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import UsageError
 
 #: Largest value we factor by trial division.  Keeps every intermediate
@@ -19,12 +18,14 @@ MAX_VALUE = 2**31 - 1
 MAX_BINOMIAL_TOP = 10**6
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """value == prod(p**e for p, e in factors), primes ascending, e >= 1."""
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("value", "factors")
+
+    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "factors", factors)
 
 
 def factorize(v: int) -> Factorization:

@@ -10,8 +10,7 @@ boundary letters that close a product into +/-Id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import ModulusMismatchError, UsageError
 from .numtheory import factorize
 
@@ -54,8 +53,7 @@ def _same_modulus(a: Modulus, b: Modulus) -> Modulus:
     return a
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(Record):
     """A 2x2 matrix over Z/NZ with determinant 1.
 
     Entries are least nonnegative residues sharing one modulus; construction
@@ -63,20 +61,22 @@ class Mat2:
     this module can never silently leave SL2(Z/NZ).
     """
 
-    m11: int
-    m12: int
-    m21: int
-    m22: int
-    modulus: Modulus
+    __slots__ = ("m11", "m12", "m21", "m22", "modulus")
 
-    def __post_init__(self):
-        n = self.modulus.n
-        for entry in (self.m11, self.m12, self.m21, self.m22):
+    def __init__(self, m11: int, m12: int, m21: int, m22: int,
+                 modulus: Modulus):
+        n = modulus.n
+        for entry in (m11, m12, m21, m22):
             if not 0 <= entry < n:
                 raise UsageError(f"matrix entry {entry} outside [0, {n})")
-        det = (self.m11 * self.m22 - self.m12 * self.m21) % n
+        det = (m11 * m22 - m12 * m21) % n
         if det != 1 % n:
             raise UsageError(f"matrix determinant is {det}, not 1 (mod {n})")
+        object.__setattr__(self, "m11", m11)
+        object.__setattr__(self, "m12", m12)
+        object.__setattr__(self, "m21", m21)
+        object.__setattr__(self, "m22", m22)
+        object.__setattr__(self, "modulus", modulus)
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.m11, self.m12, self.m21, self.m22)
@@ -138,17 +138,20 @@ def _closing_pairs(middle: tuple[int, int, int, int], n: int):
     With X = middle E(a), the product E(b) X =
     [[b X11 - X21, b X12 - X22], [X11, X12]] has X's top row as its bottom
     row for every b, so it can be +/-Id only when (X11, X12) = (0, +/-1).
-    Each a costs one product; only the a that pass this test get the
-    literal scan of every b against E(b) X.
+    Since X11 = middle11 a + middle12 and X12 = -middle11, that needs
+    middle11 = +/-1, which is its own inverse, and then a = -middle11
+    middle12: at most one a qualifies, and it gets the literal scan of
+    every b against E(b) X.
     """
     one, minus_one = 1 % n, -1 % n
-    for a in range(n):
-        x = _mul(middle, (a, minus_one, one, 0), n)
-        if x[0] != 0 or (x[1] != one and x[1] != minus_one):
-            continue
-        for b in range(n):
-            if _pm_sign(_mul((b, minus_one, one, 0), x, n), n) is not None:
-                yield a, b
+    m11, m12 = middle[0], middle[1]
+    if m11 != one and m11 != minus_one:
+        return
+    a = -m11 * m12 % n
+    x = _mul(middle, (a, minus_one, one, 0), n)
+    for b in range(n):
+        if _pm_sign(_mul((b, minus_one, one, 0), x, n), n) is not None:
+            yield a, b
 
 
 def _pm_sign(m: tuple[int, int, int, int], n: int) -> int | None:

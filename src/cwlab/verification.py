@@ -13,9 +13,9 @@ result that breaks the statement (`quadratic_roots`, `family_word`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
+from ._record import Record
 from .bruteforce import EnumerationQuery, enumerate_solutions, is_reducible_oracle
 from .errors import InternalCheckError, VerificationError
 from .monomial import (
@@ -39,11 +39,13 @@ PRIME_POWER_MODULI = (4, 8, 9, 16, 25, 27, 32, 49, 64, 81)
 PRESETS = ("small", "prime-powers", "sizes")
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    passed: bool
-    detail: str
+class CheckOutcome(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 def _outcome(name: str, failures: list[str], ok_detail: str) -> CheckOutcome:
@@ -85,8 +87,11 @@ def _size_4_families(n: int) -> set[tuple[int, ...]]:
 
 
 def check_catalog_size_4(n: int) -> CheckOutcome:
+    return _catalog_size_4(n, _census_set(n, 4))
+
+
+def _catalog_size_4(n: int, got: set[tuple[int, ...]]) -> CheckOutcome:
     expected = _size_4_families(n)
-    got = _census_set(n, 4)
     failures = []
     if got != expected:
         missing = sorted(expected - got)
@@ -98,7 +103,10 @@ def check_catalog_size_4(n: int) -> CheckOutcome:
 
 
 def check_census_symmetry(n: int) -> CheckOutcome:
-    got = _census_set(n, 4)
+    return _census_symmetry(n, _census_set(n, 4))
+
+
+def _census_symmetry(n: int, got: set[tuple[int, ...]]) -> CheckOutcome:
     failures = [f"N={n}: {values} in census but arrangement {t} is not"
                 for values in sorted(got) for t in _arrangements(values)
                 if t not in got]
@@ -449,11 +457,12 @@ def check_binomial_lemmas() -> CheckOutcome:
 
 
 def _per_modulus_checks(n: int) -> list[CheckOutcome]:
+    size_4 = _census_set(n, 4)  # one census for both size-4 checks
     out = [
         check_catalog_size_2(n),
         check_catalog_size_3(n),
-        check_catalog_size_4(n),
-        check_census_symmetry(n),
+        _catalog_size_4(n, size_4),
+        _census_symmetry(n, size_4),
         check_boundary_rigidity(n),
         check_monomial_run_triple(n),
         check_root_symmetry(n),

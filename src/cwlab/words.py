@@ -10,26 +10,26 @@ forms, the census orbits) comes from `_arrangements`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
+from ._record import Record
 from .errors import UsageError
 from .ring import Mat2, Modulus, as_modulus, _fold, _pm_sign, _same_modulus
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A nonempty tuple of residues sharing one modulus."""
 
-    values: tuple[int, ...]
-    modulus: Modulus
+    __slots__ = ("values", "modulus")
 
-    def __post_init__(self):
-        if len(self.values) < 1:
+    def __init__(self, values: tuple[int, ...], modulus: Modulus):
+        if len(values) < 1:
             raise UsageError("a word needs at least one component")
-        n = self.modulus.n
-        if min(self.values) < 0 or max(self.values) >= n:
+        n = modulus.n
+        if min(values) < 0 or max(values) >= n:
             raise UsageError(f"word components must lie in [0, {n})")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "modulus", modulus)
 
     def __len__(self) -> int:
         return len(self.values)

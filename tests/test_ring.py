@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,9 @@ from cwlab.errors import ModulusMismatchError, UsageError
 from cwlab.ring import (
     Mat2,
     Modulus,
+    _closing_pairs,
+    _mul,
+    _pm_sign,
     elementary,
     identity,
     is_pm_identity,
@@ -87,3 +92,23 @@ def test_mat_pow_matches_repeated_multiplication(data):
     for _ in range(e):
         acc = mat_mul(acc, base)
     assert mat_pow(base, e) == acc
+
+
+def test_closing_pairs_match_the_literal_pair_scan():
+    """Every matrix of SL2(Z/NZ), N <= 13, against all N**2 pairs."""
+    matrices = 0
+    for n in range(2, 14):
+        one, minus_one = 1 % n, -1 % n
+        for middle in product(range(n), repeat=4):
+            if (middle[0] * middle[3] - middle[1] * middle[2]) % n != one:
+                continue
+            matrices += 1
+            literal = []
+            for a in range(n):
+                x = _mul(middle, (a, minus_one, one, 0), n)
+                literal.extend(
+                    (a, b) for b in range(n)
+                    if _pm_sign(_mul((b, minus_one, one, 0), x, n), n)
+                    is not None)
+            assert list(_closing_pairs(middle, n)) == literal, (n, middle)
+    assert matrices == 7086
