@@ -29,9 +29,8 @@ from .monomial import (
     quadratic_roots,
 )
 from .numtheory import binomial_valuation, factorize
-from .ring import Modulus, _closing_pairs, _mul, _pm_sign
-from .words import (Word, _arrangements, equivalent, is_solution, oplus,
-                    rotations_and_reversals, word)
+from .ring import Modulus, _closing_pairs, _fold, _mul, _pm_sign
+from .words import _arrangements, _oplus, equivalent, is_solution, oplus, word
 
 #: Moduli exercised by the prime-powers preset.
 PRIME_POWER_MODULI = (4, 8, 9, 16, 25, 27, 32, 49, 64, 81)
@@ -192,11 +191,10 @@ def check_size_divisibility(n: int) -> CheckOutcome:
     failures = []
     for k in range(n):
         h, _ = minimal_monomial_size(m, k)
-        ek = (k, -1 % n, 1 % n, 0)
-        acc = (1 % n, 0, 0, 1 % n)
+        a, b, c, d = 1 % n, 0, 0, 1 % n  # E(k)**j, left-multiplied as in _fold
         for j in range(1, 3 * h + 1):
-            acc = _mul(ek, acc, n)
-            present = _pm_sign(acc, n) is not None
+            a, b, c, d = (k * a - c) % n, (k * b - d) % n, a, b
+            present = _pm_sign((a, b, c, d), n) is not None
             if present != (j % h == 0):
                 failures.append(f"N={n}, k={k}: length {j} solution "
                                 f"presence {present}, h={h}")
@@ -255,26 +253,29 @@ def check_oracle_agreement(n: int) -> CheckOutcome:
                     "structured decider matches the literal search")
 
 
-def _all_words(m: Modulus, length: int):
-    """Every word of the given length, first letter varying fastest."""
-    for values in product(range(m.n), repeat=length):
-        yield Word(values[::-1], m)
+def _all_values(n: int, length: int):
+    """Every value tuple of the given length over Z/nZ, first letter varying
+    fastest."""
+    return (values[::-1] for values in product(range(n), repeat=length))
 
 
 def check_sum_stability(n: int) -> CheckOutcome:
-    """With b a solution, a (+) b is a solution exactly when a is."""
+    """With b a solution, a (+) b is a solution exactly when a is.
+
+    Decided on value tuples through the kernels behind `is_solution` and
+    `oplus`."""
     m = Modulus(n)
     solutions = []
     for size in (2, 3, 4):
         census = enumerate_solutions(EnumerationQuery(m, size))
-        solutions.extend(census.words)
-    words = [(a, is_solution(a) is None) for length in (2, 3)
-             for a in _all_words(m, length)]
+        solutions.extend(w.values for w in census.words)
+    words = [(a, _pm_sign(_fold(a, n), n) is None) for length in (2, 3)
+             for a in _all_values(n, length)]
     failures = []
     for b in solutions:
         for a, a_fails in words:
-            if (is_solution(oplus(a, b)) is None) != a_fails:
-                failures.append(f"N={n}: a={a.values}, b={b.values}")
+            if (_pm_sign(_fold(_oplus(a, b, n), n), n) is None) != a_fails:
+                failures.append(f"N={n}: a={a}, b={b}")
     return _outcome(f"sum-stability N={n}", failures,
                     f"{len(solutions)} solutions against all words of "
                     f"length 2..3")
@@ -286,25 +287,23 @@ def check_arrangement_stability(n: int) -> CheckOutcome:
     Every word of the length is decided once; the arrangements of a word
     are compared with it by lookup (a missing one is decided directly), and
     a word already produced as an arrangement of an earlier word is not
-    arranged again: its arrangements are the same orbit."""
-    m = Modulus(n)
+    arranged again: its arrangements are the same orbit.  Words are value
+    tuples, decided by the kernels behind `is_solution`."""
     failures = []
     for length in (3, 4):
-        words = list(_all_words(m, length))
-        status = {w.values: is_solution(w) is not None for w in words}
+        status = {v: _pm_sign(_fold(v, n), n) is not None
+                  for v in _all_values(n, length)}
         arranged = set()
-        for w in words:
-            if w.values in arranged:
+        for v, present in status.items():
+            if v in arranged:
                 continue
-            present = status[w.values]
-            for t in rotations_and_reversals(w):
-                arranged.add(t.values)
-                got = status.get(t.values)
+            for t in _arrangements(v):
+                arranged.add(t)
+                got = status.get(t)
                 if got is None:
-                    got = is_solution(t) is not None
+                    got = _pm_sign(_fold(t, n), n) is not None
                 if got != present:
-                    failures.append(f"N={n}: {w.values} vs arrangement "
-                                    f"{t.values}")
+                    failures.append(f"N={n}: {v} vs arrangement {t}")
     return _outcome(f"arrangement-stability N={n}", failures,
                     "lengths 3..4, all words")
 
@@ -432,9 +431,11 @@ def check_binomial_lemmas() -> CheckOutcome:
             for j in range(2, n):
                 if binomial_valuation(2 * l ** (n - 2), j, l) < n - j:
                     failures.append(f"C(2*{l}**{n - 2}, {j}) lacks {l}**{n - j}")
+    row = [1]  # C(n, 0..n), one Pascal row per n
     for n in range(1, 201):
+        row = [1] + [x + y for x, y in zip(row, row[1:])] + [1]
         for k in range(1, n + 1):
-            if math.comb(n, k) % (n // math.gcd(n, k)) != 0:
+            if row[k] % (n // math.gcd(n, k)) != 0:
                 failures.append(f"n/gcd(n,k) does not divide C({n},{k})")
     for n in range(3, 13):
         for j in range(3, n + 1):

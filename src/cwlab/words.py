@@ -4,8 +4,9 @@ rotation and reversal, canonical forms, and the solution predicate.
 A word (a_1, ..., a_n) maps to the matrix E(a_n) E(a_{n-1}) ... E(a_1) with
 E(k) = [[k, -1], [1, 0]]: the first component is the rightmost factor.  A word
 is a solution when that product is plus or minus the identity.  The product
-is `ring._fold`, and every arrangement of a word (equivalence, canonical
-forms, the census orbits) comes from `_arrangements`.
+is `ring._fold`, the boundary sum is `_oplus`, and every arrangement of a
+word (equivalence, canonical forms, the census orbits) comes from
+`_arrangements`.  The private kernels work on plain value tuples.
 """
 
 from __future__ import annotations
@@ -86,11 +87,14 @@ def oplus(a: Word, b: Word) -> Word:
     m = _same_modulus(a.modulus, b.modulus)
     if len(a) < 2 or len(b) < 2:
         raise UsageError("oplus needs both operands of length >= 2")
-    n = m.n
-    av, bv = a.values, b.values
-    out = ((av[0] + bv[-1]) % n,) + av[1:-1] + \
-          ((av[-1] + bv[0]) % n,) + bv[1:-1]
-    return Word(out, m)
+    return Word(_oplus(a.values, b.values, m.n), m)
+
+
+def _oplus(av: tuple[int, ...], bv: tuple[int, ...],
+           n: int) -> tuple[int, ...]:
+    """The boundary sum on value tuples of length >= 2 over Z/nZ."""
+    return (((av[0] + bv[-1]) % n,) + av[1:-1] +
+            ((av[-1] + bv[0]) % n,) + bv[1:-1])
 
 
 def _arrangements(values: tuple[int, ...]):

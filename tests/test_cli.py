@@ -361,3 +361,15 @@ def test_verify_presets_are_pinned(capsys, preset):
     code, out, _ = run_cli(capsys, "verify", "--preset", preset)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PRESET_DIGESTS[preset]
+
+
+#: `verify --N 2..12` reaches `run_moduli` at N = 11 and 12, which no preset
+#: covers.
+MODULI_DIGEST = \
+    "84b8359e9b7190fc757f94ce861ace1f8a6bd283fe5e3cca5db538fc2c3ac706"
+
+
+def test_verify_moduli_range_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--N", "2..12")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MODULI_DIGEST

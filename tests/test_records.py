@@ -130,13 +130,25 @@ def test_records_differ_by_any_field_and_by_class():
     assert ExaminedSplit(5, (0, 2)) != Exhausted(5, (0, 2))
 
 
-def test_importing_the_cli_skips_dataclasses_inspect_and_typing():
+def _modules_after_importing_the_cli() -> set[str]:
+    """sys.modules of a fresh `python -S` process after `import cwlab.cli`."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = ("import sys, cwlab.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} "
-            "& set(sys.modules)))")
+    code = "import sys, cwlab.cli; print('\\n'.join(sys.modules))"
     result = subprocess.run([sys.executable, "-S", "-c", code],
                             capture_output=True, text=True, env=env,
                             cwd=ROOT)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    return set(result.stdout.split())
+
+
+def test_importing_the_cli_skips_dataclasses_inspect_and_typing():
+    loaded = _modules_after_importing_the_cli()
+    assert {"dataclasses", "inspect", "typing"} & loaded == set()
+
+
+def test_importing_the_cli_loads_every_traced_layer():
+    # bench/tracer.py reads these from sys.modules right after importing the
+    # cli, so none of them may become a lazy import
+    layers = {f"cwlab.{name}" for name in ("numtheory", "words", "monomial",
+                                            "bruteforce", "verification")}
+    assert layers <= _modules_after_importing_the_cli()
