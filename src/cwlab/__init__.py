@@ -25,11 +25,9 @@ from .monomial import (
     Exhausted,
     MonomialReport,
     QuadraticRoots,
-    ReducibilityCertificate,
     ZeroExcluded,
     classify_monomials,
     closed_form_size,
-    family_word,
     is_reducible_monomial,
     minimal_monomial_size,
     monomial_report,

@@ -70,8 +70,8 @@ def _certificate_payload(certificate, full: bool) -> dict:
         payload["right"] = list(certificate.right.values)
         payload["rotation_note"] = certificate.rotation_note
     elif isinstance(certificate, Exhausted):
-        payload["examined"] = [[s.right_length, s.root, s.reason]
-                               for s in certificate.examined]
+        payload["examined"] = {"lengths": [3, certificate.size - 1],
+                               "roots": list(certificate.roots)}
     else:
         payload["note"] = certificate.note
     return payload

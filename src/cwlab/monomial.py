@@ -82,28 +82,17 @@ def minimal_monomial_size(modulus: "Modulus | int",
 def closed_form_size(modulus: "Modulus | int", k: int) -> int | None:
     """Minimal monomial size by formula, when every prime of N divides k.
 
-    With N = prod(p_i**alpha_i) and beta_i the p_i-adic valuation of k
-    (capped at alpha_i, which picks the representative of the class of k
-    with the smallest valuations), the size is
-    2 * prod(p_i**(alpha_i - beta_i)) provided every beta_i >= 1.  When some
-    prime of N does not divide k the formula does not apply and None is
-    returned; the iterative search still works there.
+    The size is then 2N / gcd(N, k), i.e. 2 * prod(p_i**(alpha_i - beta_i))
+    over N = prod(p_i**alpha_i), with beta_i the p_i-adic valuation of k
+    capped at alpha_i.  When some prime of N does not divide k the formula
+    does not apply and None is returned; the iterative search still works.
     """
     m = as_modulus(modulus)
     kv = k % m.n
-    if kv == 0:
-        return 2
-    result = 2
-    for p, alpha in m.factors:
-        if kv % p != 0:
+    for p, _ in m.factors:
+        if kv % p:
             return None
-        beta = 0
-        x = kv
-        while x % p == 0 and beta < alpha:
-            x //= p
-            beta += 1
-        result *= p ** (alpha - beta)
-    return result
+    return 2 * m.n // gcd(kv, m.n)
 
 
 class QuadraticRoots(Record):
@@ -202,25 +191,6 @@ def two_boundary_word(n: int, m: int, a: int) -> Word:
         "two boundary family")
 
 
-FAMILY_BUILDERS = {"power_monomial": power_monomial_word,
-                   "odd_boundary": odd_boundary_word,
-                   "two_boundary": two_boundary_word}
-FAMILY_KINDS = tuple(FAMILY_BUILDERS)
-
-
-def family_word(kind: str, **params) -> Word:
-    """Dispatch to one of the named solution-family generators."""
-    try:
-        builder = FAMILY_BUILDERS[kind]
-    except KeyError:
-        raise UsageError(f"unknown family kind {kind!r}; "
-                         f"expected one of {FAMILY_KINDS}") from None
-    try:
-        return builder(**params)
-    except TypeError as exc:
-        raise UsageError(f"bad parameters for {kind}: {exc}") from None
-
-
 def power_matrix_identity(n: int, a: int) -> Mat2:
     """The product of 2**n copies of E(2a) over N = 2**(n+1), for odd a.
 
@@ -283,28 +253,11 @@ class Decomposition(Record):
                 f"boundaries {self.left[0]}/{self.right[0]}")
 
 
-class ExaminedSplit(Record):
-    """One rejected candidate: right summand length and boundary root.
-
-    Its right summand is not a solution.  That is the only reason a
-    candidate fails: once the right summand is a solution, the left one is
-    too, by sum stability.
-    """
-
-    __slots__ = ("right_length", "root")
-
-    reason = "right-not-solution"
-
-    def __init__(self, right_length: int, root: int):
-        object.__setattr__(self, "right_length", right_length)
-        object.__setattr__(self, "root", root)
-
-
 class Exhausted(Record):
-    """No right summand (x, k, ..., k, x) with x in `roots` and length in
-    [3, size - 1] is a solution, i.e. no continuant c_j with j <= size - 3
-    is +/-1.  The claim is the proof of irreducibility relative to the
-    forced summand shape; `examined` lists its candidates on demand."""
+    """The claim that no right summand (x, k, ..., k, x) with x in `roots`
+    and length in [3, size - 1] is a solution, i.e. no continuant c_j with
+    j <= size - 3 is +/-1.  It proves irreducibility relative to the forced
+    summand shape, and anyone can recheck it from size and roots."""
 
     __slots__ = ("size", "roots")
 
@@ -315,9 +268,11 @@ class Exhausted(Record):
         object.__setattr__(self, "roots", roots)
 
     @property
-    def examined(self) -> tuple[ExaminedSplit, ...]:
-        """Every (length, root) candidate, length and root ascending."""
-        return tuple(ExaminedSplit(length, x)
+    def examined(self) -> tuple[tuple[int, int], ...]:
+        """Every (right length, root) candidate, ascending.  Kept only for
+        bench/tracer.py, which counts len(examined); it can go once the
+        tracer counts (size - 3) * len(roots) instead."""
+        return tuple((length, x)
                      for length in range(3, self.size) for x in self.roots)
 
     def summary(self) -> str:
@@ -330,19 +285,13 @@ class ZeroExcluded(Record):
     convention is not counted as irreducible (and is too short for the
     reducibility definition to apply)."""
 
-    __slots__ = ("note",)
+    __slots__ = ()
 
     variant = "zero-excluded"
-
-    def __init__(self, note: str = ("minimal solution is (0, 0); "
-                                    "excluded from irreducibility")):
-        object.__setattr__(self, "note", note)
+    note = "minimal solution is (0, 0); excluded from irreducibility"
 
     def summary(self) -> str:
         return self.note
-
-
-ReducibilityCertificate = Decomposition | Exhausted | ZeroExcluded
 
 
 class MonomialReport(Record):
@@ -351,7 +300,8 @@ class MonomialReport(Record):
     __slots__ = ("modulus", "k", "size", "sign", "irreducible", "certificate")
 
     def __init__(self, modulus: Modulus, k: int, size: int, sign: int,
-                 irreducible: bool, certificate: ReducibilityCertificate):
+                 irreducible: bool,
+                 certificate: Decomposition | Exhausted | ZeroExcluded):
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "size", size)
@@ -391,8 +341,8 @@ def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
                           certificate)
 
 
-def is_reducible_monomial(modulus: "Modulus | int", k: int
-                          ) -> tuple[bool, ReducibilityCertificate]:
+def is_reducible_monomial(modulus: "Modulus | int", k: int) -> tuple[
+        bool, Decomposition | Exhausted | ZeroExcluded]:
     """Decide reducibility of the minimal all-k solution, with certificate
     (see monomial_report)."""
     report = monomial_report(modulus, k)
@@ -412,7 +362,7 @@ def _prime_power_irreducible(p: int, exponent: int, k: int) -> bool:
         return True
     if k == 2 ** (exponent - 1):
         return True
-    return exponent >= 2 and k % 2 == 0 and (k // 2) % 2 == 1
+    return exponent >= 2 and (k // 2) % 2 == 1
 
 
 def classify_monomials(modulus: "Modulus | int") -> list[MonomialReport]:

@@ -6,7 +6,7 @@ failure.  Output is therefore byte-identical across runs.
 
 Each statement is implemented once, here; the tests call these checks
 instead of repeating their loops.  Where a constructor already refuses a
-result that breaks the statement (`quadratic_roots`, `family_word`,
+result that breaks the statement (`quadratic_roots`, the family builders,
 `power_matrix_identity`), the check builds it and reports the refusal.
 """
 
@@ -22,11 +22,13 @@ from .monomial import (
     ZeroExcluded,
     classify_monomials,
     closed_form_size,
-    family_word,
     minimal_monomial_size,
     monomial_report,
+    odd_boundary_word,
     power_matrix_identity,
+    power_monomial_word,
     quadratic_roots,
+    two_boundary_word,
 )
 from .numtheory import binomial_valuation, factorize
 from .ring import Modulus, _closing_pairs, _fold, _mul, _pm_sign
@@ -370,27 +372,28 @@ def check_closed_form_agreement(max_modulus: int = 200) -> CheckOutcome:
 
 
 def _family_instances(max_modulus: int):
-    """Every family instance with modulus <= max_modulus; the multiplier a
-    runs over one period of distinct words, plus a = -1 as a spot check."""
+    """Every family instance (label, builder, params) with modulus
+    <= max_modulus; the multiplier a runs over one period of distinct
+    words, plus a = -1 as a spot check."""
     for base in range(2, max_modulus + 1):
         exponent = 2
         while base ** exponent <= max_modulus:
             for m_val in range(1, exponent):
                 period = base ** (exponent - m_val)
                 for a in list(range(period)) + [-1]:
-                    yield ("power_monomial",
+                    yield ("power_monomial", power_monomial_word,
                            dict(l=base, n=exponent, m=m_val, a=a))
             if base > 2 and exponent >= 3:
                 for m_val in range(1, exponent - 1):
                     period = base ** (exponent - m_val)
                     for a in list(range(period)) + [-1]:
-                        yield ("odd_boundary",
+                        yield ("odd_boundary", odd_boundary_word,
                                dict(l=base, n=exponent, m=m_val, a=a))
             if base == 2 and exponent >= 4:
                 for m_val in range(2, exponent - 1):
                     period = 2 ** (exponent - m_val)
                     for a in list(range(period)) + [-1]:
-                        yield ("two_boundary",
+                        yield ("two_boundary", two_boundary_word,
                                dict(n=exponent, m=m_val, a=a))
             exponent += 1
 
@@ -398,12 +401,12 @@ def _family_instances(max_modulus: int):
 def check_family_soundness(max_modulus: int = 256) -> CheckOutcome:
     failures = []
     count = 0
-    for kind, params in _family_instances(max_modulus):
+    for label, builder, params in _family_instances(max_modulus):
         count += 1
         try:
-            family_word(kind, **params)  # raises unless it built a solution
+            builder(**params)  # raises unless it built a solution
         except InternalCheckError as exc:
-            failures.append(f"{kind} {params}: {exc}")
+            failures.append(f"{label} {params}: {exc}")
     return _outcome("family-soundness", failures,
                     f"{count} family words, all solutions")
 

@@ -103,14 +103,19 @@ def test_monomial_single_json_certificates_are_pinned(capsys):
         "certificate": {
             "variant": "exhausted",
             "summary": "exhausted 8 split candidates",
-            "examined": [[3, 0, "right-not-solution"],
-                         [3, 2, "right-not-solution"],
-                         [4, 0, "right-not-solution"],
-                         [4, 2, "right-not-solution"],
-                         [5, 0, "right-not-solution"],
-                         [5, 2, "right-not-solution"],
-                         [6, 0, "right-not-solution"],
-                         [6, 2, "right-not-solution"]]}})
+            "examined": {"lengths": [3, 6], "roots": [0, 2]}}})
+
+
+def test_monomial_exhausted_json_is_its_claim_not_its_candidates(capsys):
+    # two million candidates, but the certificate is their grid's bounds
+    code, out, _ = run_cli(capsys, "monomial", "1000003", "2",
+                           "--format", "json")
+    assert code == 0
+    assert len(out.encode()) < 1024
+    assert json.loads(out)["certificate"] == {
+        "variant": "exhausted",
+        "summary": "exhausted 2000000 split candidates",
+        "examined": {"lengths": [3, 1000002], "roots": [0, 2]}}
 
 
 MONOMIAL_16 = [  # (size, sign, summary) for k = 0..15

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from cwlab.errors import InternalCheckError, UsageError
@@ -7,7 +9,6 @@ from cwlab.monomial import (
     ZeroExcluded,
     classify_monomials,
     closed_form_size,
-    family_word,
     is_reducible_monomial,
     minimal_monomial_size,
     monomial_report,
@@ -202,12 +203,8 @@ def test_two_boundary_word_example():
 
 
 def test_family_word_dispatch_and_validation():
-    assert family_word("power_monomial", l=2, n=3, m=1, a=1).values == \
-        (2,) * 8
     with pytest.raises(UsageError):
-        family_word("unknown", l=2, n=3, m=1, a=1)
-    with pytest.raises(UsageError):
-        family_word("power_monomial", l=1, n=3, m=1, a=1)
+        power_monomial_word(l=1, n=3, m=1, a=1)  # needs l >= 2
     with pytest.raises(UsageError):
         odd_boundary_word(l=2, n=3, m=1, a=1)  # needs l > 2
     with pytest.raises(UsageError):
@@ -303,9 +300,12 @@ def test_reducibility_agrees_with_candidate_scan_oracle():
                 got = (True, certificate.left.values,
                        certificate.right.values, certificate.rotation_note, ())
             else:
+                claim = tuple(product(range(3, certificate.size),
+                                      certificate.roots))
+                assert certificate.examined == claim
                 got = (False, None, None, None,
-                       tuple((s.right_length, s.root, s.reason)
-                             for s in certificate.examined))
+                       tuple((length, x, "right-not-solution")
+                             for length, x in claim))
             assert got + (certificate.summary(),) == \
                 reducibility_oracle(n, k), (n, k)
 

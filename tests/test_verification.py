@@ -26,7 +26,7 @@ def size_off_by_one(modulus, k):
     return h + 1, sign
 
 
-def refuse_family(kind, **params):
+def refuse_family(**params):
     raise InternalCheckError("forced refusal")
 
 
@@ -63,7 +63,7 @@ BROKEN = [
      "check_oracle_agreement", (10,), "N=10, k=3: oracle says False"),
     ("binomial_valuation", lambda top, j, base: 0, "check_binomial_lemmas",
      (), "C(2**1, 1) lacks 2**1"),
-    ("family_word", refuse_family, "check_family_soundness", (),
+    ("power_monomial_word", refuse_family, "check_family_soundness", (),
      "power_monomial {'l': 2, 'n': 2, 'm': 1, 'a': 0}: forced refusal"),
     ("_oplus", lambda a, b, n: b, "check_sum_stability", (3,),
      "N=3: a=(1, 0), b=(0, 0)"),
