@@ -62,7 +62,6 @@ from .words import (
     is_solution,
     oplus,
     parse_word,
-    rotations_and_reversals,
     word,
     word_matrix,
 )

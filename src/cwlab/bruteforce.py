@@ -11,17 +11,18 @@ enumerate_solutions), so every solution is still found and each costs one
 test.  Deduplication builds each class's 2n rotations and reversals once,
 when the scan finds its first member, so it costs classes * 2n arrangements
 plus one set lookup per solution.  The oracle folds each split's interior
-with `ring._fold` and finds its boundary pairs with `ring._closing_pairs`,
-the O(N) scan that `verify` uses, so a split costs O(N) products.  Both the
-scan order and the oracle's search order are fixed, which makes output and
-witnesses reproducible byte for byte.
+with `ring._fold` and derives its one boundary pair with
+`ring._closing_pair`, the closed form that `verify` uses, so a split costs
+O(n) products whatever N is.  Both the scan order and the oracle's search
+order are fixed, which makes output and witnesses reproducible byte for
+byte.
 """
 
 from __future__ import annotations
 
 from ._record import Record
 from .errors import BudgetExceededError, InternalCheckError, UsageError
-from .ring import Modulus, _closing_pairs, _fold
+from .ring import Modulus, _closing_pair, _fold
 from .words import Word, _arrangements, is_solution
 
 #: Default enumeration budget, in matrix multiplications.  The CLI lets the
@@ -85,13 +86,12 @@ def _check_budget(n: int, exponent: int, budget: int) -> None:
 def enumerate_solutions(query: EnumerationQuery) -> Census:
     """Scan the N**(size-2) prefixes and solve each one's last two letters.
 
-    With P = E(a_{n-2}) ... E(a_1) and E(y)E(x) = [[xy-1, -y], [x, -1]],
-    the word is a solution with sign s exactly when
-    P = s [[-1, y], [-x, xy-1]]: P's top-left entry must be -s, which
-    forces (x, y) = (-s P_21, s P_12), and the bottom-right entry then
-    follows from det P = 1.  Since +1 and -1 differ for N > 2 and give the
-    same tail for N = 2, each prefix has at most one solution, so the words
-    come out in lexicographic order.
+    With P = E(a_{n-2}) ... E(a_1), the word is a solution exactly when
+    E(y) E(x) P = +/-Id, i.e. E(x) P E(y) = +/-Id, so (y, x) is
+    `ring._closing_pair(P)`: the tail exists exactly when P_11 = +/-1, and
+    then (x, y) = (P_11 P_21, -P_11 P_12), spelled inline in the hot loop.
+    Each prefix therefore has at most one solution, so the words come out
+    in lexicographic order.
 
     Under dedup, the first solution v of a class builds its orbit (the
     rotations of v and of its reversal) once, keeps min(orbit) and leaves
@@ -160,15 +160,15 @@ def is_reducible_oracle(w: Word):
     """Literal reducibility search for any solution word of length >= 3.
 
     For every arrangement t of w (rotations, then rotations of the
-    reversal), every split with right-summand length l in [3, n-1] (left
-    length n + 2 - l is then automatically >= 3), and every boundary pair
-    (b_1, b_l) in row-major order, the split fixes the summand interiors
-    from t; the candidate is accepted as soon as the right summand is a
-    solution.  The pairs come from `ring._closing_pairs` on the interior's
-    product, which tests all b_l only for the b_1 whose top row allows
-    +/-Id, so a split costs O(N) products and yields the same first pair as
-    the N**2 scan.  The left summand is then a solution too (the sum equals
-    t, which is a solution), and that is double-checked rather than assumed.
+    reversal) and every split with right-summand length l in [3, n-1] (left
+    length n + 2 - l is then automatically >= 3), the split fixes the
+    summand interiors from t, and the first split whose right summand can
+    be closed into a solution is the witness.  At most one boundary pair
+    (b_1, b_l) closes it, and `ring._closing_pair` derives that pair from
+    the interior's product, so a split costs one fold of its interior
+    instead of a scan of all N**2 pairs.  Both summands are then solutions
+    (the sum equals t, which is a solution), and both are double-checked
+    rather than assumed.
 
     An arrangement whose values equal an earlier one's is skipped: its
     candidates were all tried already, so the verdict and the first witness
@@ -191,16 +191,17 @@ def is_reducible_oracle(w: Word):
         for right_len in range(3, n):
             left_len = n + 2 - right_len
             interior = tv[left_len:]
-            pair = next(_closing_pairs(_fold(interior, big), big), None)
+            pair = _closing_pair(_fold(interior, big), big)
             if pair is None:
                 continue
             b_first, b_last = pair
             left = Word(((tv[0] - b_last) % big,) + tv[1:left_len - 1]
                         + ((tv[left_len - 1] - b_first) % big,), w.modulus)
             right = Word((b_first,) + interior + (b_last,), w.modulus)
-            if is_solution(left) is None:
-                raise InternalCheckError(
-                    f"left summand {left!r} of a found split is not "
-                    f"a solution")
+            for summand in (left, right):
+                if is_solution(summand) is None:
+                    raise InternalCheckError(
+                        f"summand {summand!r} of a found split is not "
+                        f"a solution")
             return True, (left, right, Word(tv, w.modulus))
     return False, None

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -38,19 +37,13 @@ def dump_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
-
-
-def _emit(args, text: str, payload: dict, csv_text: str) -> None:
+def _emit(args, text: str, payload: dict, header: list[str], rows) -> None:
     if args.format == "json":
         sys.stdout.write(dump_json(payload))
     elif args.format == "csv":
-        sys.stdout.write(csv_text)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
         sys.stdout.write(text)
 
@@ -92,9 +85,11 @@ def cmd_check(args) -> int:
                "sign": sign}
     rows = [[modulus.n, _word_str(w.values), sign is not None,
              "" if sign is None else sign]]
-    _emit(args, text, payload, _csv_text(["N", "word", "solution", "sign"],
-                                         rows))
+    _emit(args, text, payload, ["N", "word", "solution", "sign"], rows)
     return 0 if sign is not None else 1
+
+
+_REPORT_HEADER = ["k", "size", "sign", "irreducible", "certificate"]
 
 
 def _report_row(report) -> list:
@@ -124,10 +119,8 @@ def cmd_monomial(args) -> int:
                                 "certificate": _certificate_payload(
                                     r.certificate, full=False)}
                                for r in reports]}
-        csv_text = _csv_text(["k", "size", "sign", "irreducible",
-                              "certificate"],
-                             [_report_row(r) for r in reports])
-        _emit(args, "\n".join(lines) + "\n", payload, csv_text)
+        _emit(args, "\n".join(lines) + "\n", payload, _REPORT_HEADER,
+              map(_report_row, reports))
         return 0
     k = args.k
     if not 0 <= k < modulus.n:
@@ -139,9 +132,7 @@ def cmd_monomial(args) -> int:
     payload = {"N": modulus.n, "k": k, "size": r.size, "sign": r.sign,
                "irreducible": r.irreducible,
                "certificate": _certificate_payload(r.certificate, full=True)}
-    csv_text = _csv_text(["k", "size", "sign", "irreducible", "certificate"],
-                         [_report_row(r)])
-    _emit(args, text, payload, csv_text)
+    _emit(args, text, payload, _REPORT_HEADER, [_report_row(r)])
     return 0
 
 
@@ -154,11 +145,9 @@ def cmd_sum(args) -> int:
             f"({_word_str(total.values)}) mod {modulus.n}\n")
     payload = {"N": modulus.n, "left": list(left.values),
                "right": list(right.values), "sum": list(total.values)}
-    csv_text = _csv_text(["N", "left", "right", "sum"],
-                         [[modulus.n, _word_str(left.values),
-                           _word_str(right.values),
-                           _word_str(total.values)]])
-    _emit(args, text, payload, csv_text)
+    _emit(args, text, payload, ["N", "left", "right", "sum"],
+          [[modulus.n, _word_str(left.values), _word_str(right.values),
+            _word_str(total.values)]])
     return 0
 
 
@@ -169,10 +158,8 @@ def cmd_canon(args) -> int:
     text = f"({_word_str(canon.values)}) mod {modulus.n}\n"
     payload = {"N": modulus.n, "word": list(w.values),
                "canonical": list(canon.values)}
-    csv_text = _csv_text(["N", "word", "canonical"],
-                         [[modulus.n, _word_str(w.values),
-                           _word_str(canon.values)]])
-    _emit(args, text, payload, csv_text)
+    _emit(args, text, payload, ["N", "word", "canonical"],
+          [[modulus.n, _word_str(w.values), _word_str(canon.values)]])
     return 0
 
 
@@ -200,7 +187,7 @@ def cmd_enumerate(args) -> int:
     payload = {"N": modulus.n, "n": census.size, "total": census.total,
                "dedup": census.dedup, "representatives": rows}
     _emit(args, "\n".join(lines) + "\n", payload,
-          _csv_text([f"a{i + 1}" for i in range(census.size)], rows))
+          [f"a{i + 1}" for i in range(census.size)], rows)
     return 0
 
 
@@ -212,8 +199,7 @@ def cmd_roots(args) -> int:
     text = (f"roots of x(x-{args.k}) mod {modulus.n}: "
             f"{_word_str(roots.roots)}\n")
     payload = {"N": modulus.n, "k": args.k, "roots": list(roots.roots)}
-    csv_text = _csv_text(["x"], [[x] for x in roots.roots])
-    _emit(args, text, payload, csv_text)
+    _emit(args, text, payload, ["x"], [[x] for x in roots.roots])
     return 0
 
 
@@ -221,7 +207,7 @@ def cmd_phi(args) -> int:
     value = euler_phi(args.value)
     _emit(args, f"phi({args.value}) = {value}\n",
           {"value": args.value, "phi": value},
-          _csv_text(["value", "phi"], [[args.value, value]]))
+          ["value", "phi"], [[args.value, value]])
     return 0
 
 
@@ -231,7 +217,7 @@ def cmd_factor(args) -> int:
                            for p, e in factors) or "1"
     _emit(args, f"{args.value} = {text_body}\n",
           {"value": args.value, "factors": [[p, e] for p, e in factors]},
-          _csv_text(["prime", "exponent"], [[p, e] for p, e in factors]))
+          ["prime", "exponent"], [[p, e] for p, e in factors])
     return 0
 
 
@@ -241,8 +227,8 @@ def cmd_binom_val(args) -> int:
           f"largest e with {args.base}^e | C({args.top},{args.j}): {value}\n",
           {"top": args.top, "j": args.j, "base": args.base,
            "valuation": value},
-          _csv_text(["top", "j", "base", "valuation"],
-                    [[args.top, args.j, args.base, value]]))
+          ["top", "j", "base", "valuation"],
+          [[args.top, args.j, args.base, value]])
     return 0
 
 

@@ -9,15 +9,15 @@ Size, sign and reducibility all come from one walk over the continuants
 c_j, defined by E(k)**j = [[c_j, -c_{j-1}], [c_{j-1}, -c_{j-2}]]
 (c_0 = 1, c_1 = k, c_{j+1} = k c_j - c_{j-1}).  E(k)**j = +/-Id exactly
 when c_{j-1} = 0 and c_j = +/-1, which gives h and its sign.  Writing the
-target as a sum forces both summands to be boundary words (x, k, ..., k, x),
-and by boundary rigidity E(x) E(k)**j E(x) = +/-Id forces
-E(k)**j = +/-E(x)**-2.  Comparing entries, a right summand of length j + 2
-exists exactly when c_j = +/-1, and then its boundary x = +/-c_{j-1} is
-unique and a root of x(x - k) = 0 mod N.  The decision is certified: either
-a verified decomposition, or the claim that no (length, root) candidate is a
-solution, which anyone can recompute.  The roots of x(x - k) come in closed
-form per prime power of N, combined by the Chinese remainder theorem.  The
-unstructured search in the bruteforce module cross-checks this logic.
+target as a sum forces a right summand (a, k, ..., k, b) of length j + 2
+with E(b) E(k)**j E(a) = +/-Id, and `ring._closing_pair` of E(k)**j solves
+that: a solution exists exactly when c_j = +/-1, and then
+a = b = x = c_j c_{j-1} is unique and a root of x(x - k) = 0 mod N.  The
+decision is certified: either a verified decomposition, or the claim that
+no (length, root) candidate is a solution, which anyone can recompute.
+The roots of x(x - k) come in closed form per prime power of N, combined by
+the Chinese remainder theorem.  The unstructured search in the bruteforce
+module cross-checks this logic.
 """
 
 from __future__ import annotations
@@ -46,13 +46,15 @@ def size_cap(modulus: "Modulus | int") -> int:
 
 
 def _walk(n: int, k: int, cap: int
-          ) -> tuple[int, int, tuple[int, int, int] | None]:
+          ) -> tuple[int, int, tuple[int, int] | None]:
     """Walk the continuants c_j of E(k) mod n (k reduced) once.
 
     Returns (h, sign, split): h is the first j with c_{j-1} = 0 and
     c_j = +/-1, sign is +1 when c_j = 1 (so +1 for N = 2), and split is
-    (j, c_{j-1}, c_j) for the first j <= h - 3 with c_j = +/-1, else None.
-    The h test comes first, since c_{h-2} = -sign is always +/-1.
+    (j, x) for the first j <= h - 3 with c_j = +/-1, else None, where
+    x = c_j c_{j-1} makes (x, x) the `ring._closing_pair` of
+    E(k)**j = [[c_j, -c_{j-1}], [c_{j-1}, -c_{j-2}]].  The h test comes
+    first, since c_{h-2} = -sign is always +/-1.
     """
     one, minus_one = 1 % n, -1 % n
     prev, cur = one, k  # c_{j-1}, c_j at j = 1
@@ -64,7 +66,7 @@ def _walk(n: int, k: int, cap: int
                     split = None
                 return j, 1 if cur == one else -1, split
             if split is None:
-                split = (j, prev, cur)
+                split = (j, cur * prev % n)
         prev, cur = cur, (k * cur - prev) % n
     raise InternalCheckError(
         f"no power of E({k}) mod {n} reached +/-identity within {cap} steps")
@@ -318,9 +320,9 @@ def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
     holds exactly when the continuant c_j is +/-1; the matching left summand
     (k-x, k, ..., k, k-x) of length h - j is then a solution too.  The walk
     that finds h also finds the shortest right summand; its boundary is
-    x = c_{j-1} when c_j = 1 and x = -c_{j-1} when c_j = -1, the only root
-    that works at that length.  For k = 0 the minimal solution is the pair
-    (0, 0), reported as not irreducible with a sentinel certificate.
+    x = c_j c_{j-1}, the only root that works at that length.  For k = 0
+    the minimal solution is the pair (0, 0), reported as not irreducible
+    with a sentinel certificate.
     """
     m = as_modulus(modulus)
     n = m.n
@@ -329,8 +331,7 @@ def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
     if kv == 0:
         certificate = ZeroExcluded()
     elif split is not None:
-        j, prev, cur = split
-        x = prev if cur == 1 % n else -prev % n
+        j, x = split
         y = (kv - x) % n
         certificate = Decomposition(Word((kv,) * h, m),
                                     Word((y,) + (kv,) * (h - j - 2) + (y,), m),

@@ -4,7 +4,7 @@ Residues are plain ints reduced mod N to their least nonnegative
 representatives.  All values are immutable and every operation is pure, so
 everything in this module is safe to share between threads.  The private
 kernels work on (m11, m12, m21, m22) tuples: `_mul` multiplies two of them,
-`_fold` multiplies out the letters of a word, and `_closing_pairs` finds the
+`_fold` multiplies out the letters of a word, and `_closing_pair` finds the
 boundary letters that close a product into +/-Id.
 """
 
@@ -132,26 +132,22 @@ def _fold(values, n: int) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
-def _closing_pairs(middle: tuple[int, int, int, int], n: int):
-    """Yield the (a, b) with E(b) middle E(a) = +/-Id, in row-major order.
+def _closing_pair(middle: tuple[int, int, int, int], n: int
+                  ) -> tuple[int, int] | None:
+    """The one (a, b) with E(b) middle E(a) = +/-Id, or None if none exists.
 
     With X = middle E(a), the product E(b) X =
     [[b X11 - X21, b X12 - X22], [X11, X12]] has X's top row as its bottom
-    row for every b, so it can be +/-Id only when (X11, X12) = (0, +/-1).
-    Since X11 = middle11 a + middle12 and X12 = -middle11, that needs
-    middle11 = +/-1, which is its own inverse, and then a = -middle11
-    middle12: at most one a qualifies, and it gets the literal scan of
-    every b against E(b) X.
+    row, so it equals s Id only when X11 = 0 and X12 = s, and then b s = X22;
+    X21 = -s follows from det X = det middle = 1.  Since
+    X = [[middle11 a + middle12, -middle11], [middle21 a + middle22,
+    -middle21]], that needs middle11 = -s = +/-1, which is its own inverse,
+    so a = -middle11 middle12 and b = s X22 = middle11 middle21.
     """
-    one, minus_one = 1 % n, -1 % n
-    m11, m12 = middle[0], middle[1]
-    if m11 != one and m11 != minus_one:
-        return
-    a = -m11 * m12 % n
-    x = _mul(middle, (a, minus_one, one, 0), n)
-    for b in range(n):
-        if _pm_sign(_mul((b, minus_one, one, 0), x, n), n) is not None:
-            yield a, b
+    m11 = middle[0]
+    if m11 != 1 % n and m11 != -1 % n:
+        return None
+    return -m11 * middle[1] % n, m11 * middle[2] % n
 
 
 def _pm_sign(m: tuple[int, int, int, int], n: int) -> int | None:

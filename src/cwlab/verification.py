@@ -31,7 +31,7 @@ from .monomial import (
     two_boundary_word,
 )
 from .numtheory import binomial_valuation, factorize
-from .ring import Modulus, _closing_pairs, _fold, _mul, _pm_sign
+from .ring import Modulus, _closing_pair, _fold, _mul, _pm_sign
 from .words import _arrangements, _oplus, equivalent, is_solution, oplus, word
 
 #: Moduli exercised by the prime-powers preset.
@@ -87,11 +87,9 @@ def _size_4_families(n: int) -> set[tuple[int, ...]]:
     return expected
 
 
-def check_catalog_size_4(n: int) -> CheckOutcome:
-    return _catalog_size_4(n, _census_set(n, 4))
-
-
-def _catalog_size_4(n: int, got: set[tuple[int, ...]]) -> CheckOutcome:
+def check_catalog_size_4(n: int, got: set[tuple[int, ...]]) -> CheckOutcome:
+    """`got`, the size-4 census `_census_set(n, 4)`, is exactly the two
+    families."""
     expected = _size_4_families(n)
     failures = []
     if got != expected:
@@ -103,11 +101,9 @@ def _catalog_size_4(n: int, got: set[tuple[int, ...]]) -> CheckOutcome:
                     f"{len(expected)} words from the two families")
 
 
-def check_census_symmetry(n: int) -> CheckOutcome:
-    return _census_symmetry(n, _census_set(n, 4))
-
-
-def _census_symmetry(n: int, got: set[tuple[int, ...]]) -> CheckOutcome:
+def check_census_symmetry(n: int, got: set[tuple[int, ...]]) -> CheckOutcome:
+    """`got`, the size-4 census `_census_set(n, 4)`, is closed under
+    arrangement."""
     failures = [f"N={n}: {values} in census but arrangement {t} is not"
                 for values in sorted(got) for t in _arrangements(values)
                 if t not in got]
@@ -116,15 +112,16 @@ def _census_symmetry(n: int, got: set[tuple[int, ...]]) -> CheckOutcome:
 
 
 def _boundary_pairs(n: int, k: int, lengths) -> dict[int, list]:
-    """For each length >= 2 in `lengths`, the boundary pairs (a, b) for which
-    (a, k, ..., k, b) of that length is a solution, in row-major order: the
-    `ring._closing_pairs` of E(k)**(length - 2), O(N) products each."""
+    """For each length >= 2 in `lengths`, the list of boundary pairs (a, b)
+    for which (a, k, ..., k, b) of that length is a solution: the
+    `ring._closing_pair` of E(k)**(length - 2), so at most one pair."""
     ek = (k, -1 % n, 1 % n, 0)
     mid = (1 % n, 0, 0, 1 % n)  # E(k)**(length - 2), from length 2 up
     pairs = {}
     for length in range(2, max(lengths, default=1) + 1):
         if length in lengths:
-            pairs[length] = list(_closing_pairs(mid, n))
+            pair = _closing_pair(mid, n)
+            pairs[length] = [] if pair is None else [pair]
         mid = _mul(ek, mid, n)
     return pairs
 
@@ -465,8 +462,8 @@ def _per_modulus_checks(n: int) -> list[CheckOutcome]:
     out = [
         check_catalog_size_2(n),
         check_catalog_size_3(n),
-        _catalog_size_4(n, size_4),
-        _census_symmetry(n, size_4),
+        check_catalog_size_4(n, size_4),
+        check_census_symmetry(n, size_4),
         check_boundary_rigidity(n),
         check_monomial_run_triple(n),
         check_root_symmetry(n),

@@ -106,12 +106,6 @@ def _arrangements(values: tuple[int, ...]):
             for r in range(len(values)))
 
 
-def rotations_and_reversals(w: Word) -> list[Word]:
-    """All cyclic rotations of w, then all rotations of the reversed word:
-    exactly 2n words, duplicates retained."""
-    return [Word(t, w.modulus) for t in _arrangements(w.values)]
-
-
 def equivalent(u: Word, v: Word) -> bool:
     """True when v is a rotation of u or of u reversed."""
     _same_modulus(u.modulus, v.modulus)

@@ -17,6 +17,7 @@ from cwlab.monomial import is_reducible_monomial
 from cwlab.numtheory import euler_phi
 from cwlab.verification import (
     _boundary_pairs,
+    _census_set,
     check_binomial_lemmas,
     check_boundary_rigidity,
     check_catalog_size_2,
@@ -90,8 +91,10 @@ def test_criterion_03_closed_form_agreement():
 def test_criterion_04_small_size_catalogs():
     def body():
         for n in range(2, 11):
+            size_4 = _census_set(n, 4)
             assert_passes(check_catalog_size_2(n), check_catalog_size_3(n),
-                          check_catalog_size_4(n), check_census_symmetry(n))
+                          check_catalog_size_4(n, size_4),
+                          check_census_symmetry(n, size_4))
 
     run_criterion(4, "small-size-catalogs", 10, body)
 

@@ -13,6 +13,7 @@ from cwlab.monomial import minimal_monomial_size
 from cwlab.ring import Modulus, _mul, _pm_sign
 from cwlab.verification import (
     _boundary_pairs,
+    _census_set,
     check_catalog_size_4,
     check_census_symmetry,
     check_oracle_agreement,
@@ -24,9 +25,16 @@ from cwlab.words import (
     equivalent,
     is_solution,
     oplus,
-    rotations_and_reversals,
     word,
 )
+
+
+def arrangements_oracle(values):
+    """The rotations of the tuple, then those of its mirror, listed by hand
+    rather than by words._arrangements, which the oracles here check."""
+    mirror = tuple(reversed(values))
+    return ([values[r:] + values[:r] for r in range(len(values))]
+            + [mirror[r:] + mirror[:r] for r in range(len(values))])
 
 
 def test_census_examples():
@@ -40,7 +48,7 @@ def test_census_examples():
 
 
 def test_census_matches_parametric_families_mod_six():
-    outcome = check_catalog_size_4(6)
+    outcome = check_catalog_size_4(6, _census_set(6, 4))
     assert outcome.passed, outcome.detail
 
 
@@ -74,8 +82,9 @@ def test_census_count_only():
 
 def test_census_symmetry():
     # criterion 04 covers N = 2..10
-    assert [o.detail for o in map(check_census_symmetry, range(11, 17))
-            if not o.passed] == []
+    outcomes = [check_census_symmetry(n, _census_set(n, 4))
+                for n in range(11, 17)]
+    assert [o.detail for o in outcomes if not o.passed] == []
 
 
 def _enumerate_output(capsys, *argv):
@@ -114,7 +123,7 @@ def test_budget_boundary_counts_prefix_multiplications():
 
 def enumerate_oracle(query):
     """The literal scan over all N**size words, checking each full product;
-    dedup takes the least arrangement from rotations_and_reversals."""
+    dedup takes the least arrangement from arrangements_oracle."""
     m = query.modulus
     n = m.n
     size = query.size
@@ -146,9 +155,7 @@ def enumerate_oracle(query):
     if query.count_only:
         words = []
     elif query.dedup:
-        words = sorted({min(t.values for t in
-                            rotations_and_reversals(word(v, m)))
-                        for v in raw})
+        words = sorted({min(arrangements_oracle(v)) for v in raw})
     else:
         words = raw
     return total, words
@@ -216,8 +223,18 @@ def test_oracle_reducible_monomial_mod_ten():
     assert is_solution(right) is not None
     assert is_solution(left) is not None
     assert equivalent(target, oplus(left, right))
-    assert arrangement.values in \
-        {t.values for t in rotations_and_reversals(target)}
+    assert arrangement.values in arrangements_oracle(target.values)
+
+
+def test_oracle_at_the_top_of_the_domain():
+    """A split costs O(n) products whatever N is; an O(N) scan of the
+    boundary letters would run for about 25 minutes at this N."""
+    n = 2**31 - 1
+    reducible, witness = is_reducible_oracle(word([-1, -2, -1, -2], n))
+    assert reducible
+    assert tuple(part.values for part in witness) == (
+        (n - 1, n - 1, n - 1), (n - 1, n - 1, n - 1),
+        (n - 2, n - 1, n - 2, n - 1))
 
 
 def test_oracle_irreducible_cases():
@@ -254,8 +271,7 @@ def every_arrangement_oracle(w):
     n = len(w)
     big = w.modulus.n
     letters = [(v, -1 % big, 1 % big, 0) for v in range(big)]
-    for t in rotations_and_reversals(w):
-        tv = t.values
+    for tv in arrangements_oracle(w.values):
         for right_len in range(3, n):
             left_len = n + 2 - right_len
             interior = tv[left_len:]
@@ -320,3 +336,11 @@ def test_boundary_pairs_match_the_every_pair_scan():
                          if length >= 3)
         # a scan that finds nothing must not pass
         assert found > 0, n
+
+
+def test_boundary_pairs_at_the_top_of_the_domain():
+    # k = -1 has h = 3: pairs (k, k) at lengths 3 and 6, (0, 0) at 5 and 8
+    n = 2**31 - 1
+    assert _boundary_pairs(n, n - 1, range(3, 9)) == {
+        3: [(n - 1, n - 1)], 4: [], 5: [(0, 0)],
+        6: [(n - 1, n - 1)], 7: [], 8: [(0, 0)]}
