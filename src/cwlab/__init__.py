@@ -39,7 +39,6 @@ from .monomial import (
     two_boundary_word,
 )
 from .numtheory import (
-    Factorization,
     binomial_valuation,
     euler_phi,
     factorize,

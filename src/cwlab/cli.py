@@ -180,7 +180,7 @@ def cmd_enumerate(args) -> int:
                              count_only=args.count_only,
                              budget=_budget_from_env())
     census = enumerate_solutions(query)
-    rows = [list(w.values) for w in census.words]
+    rows = [w.values for w in census.words]
     lines = [f"N={modulus.n} size={census.size}: {census.total} solutions"
              + (" (canonical representatives)" if census.dedup else "")]
     lines.extend(_word_str(row) for row in rows)
@@ -212,7 +212,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    factors = factorize(args.value).factors
+    factors = factorize(args.value)
     text_body = " * ".join(f"{p}^{e}" if e > 1 else f"{p}"
                            for p, e in factors) or "1"
     _emit(args, f"{args.value} = {text_body}\n",

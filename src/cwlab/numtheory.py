@@ -6,7 +6,6 @@ passes through floating point.
 
 from __future__ import annotations
 
-from ._record import Record
 from .errors import UsageError
 
 #: Largest value we factor by trial division.  Keeps every intermediate
@@ -18,18 +17,9 @@ MAX_VALUE = 2**31 - 1
 MAX_BINOMIAL_TOP = 10**6
 
 
-class Factorization(Record):
-    """value == prod(p**e for p, e in factors), primes ascending, e >= 1."""
-
-    __slots__ = ("value", "factors")
-
-    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "factors", factors)
-
-
-def factorize(v: int) -> Factorization:
-    """Trial-division factorization of v >= 1.  v == 1 gives an empty list."""
+def factorize(v: int) -> tuple[tuple[int, int], ...]:
+    """Trial-division factorization of v >= 1 as ((p, e), ...), primes
+    ascending, e >= 1, with v == prod(p**e).  v == 1 gives ()."""
     if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         raise UsageError(f"factorize expects an integer >= 1, got {v!r}")
     if v > MAX_VALUE:
@@ -47,14 +37,13 @@ def factorize(v: int) -> Factorization:
         p += 1 if p == 2 else 2
     if n > 1:
         factors.append((n, 1))
-    return Factorization(v, tuple(factors))
+    return tuple(factors)
 
 
 def euler_phi(v: int) -> int:
     """Euler's totient, via the product formula over the factorization."""
-    fac = factorize(v)
     result = v
-    for p, _ in fac.factors:
+    for p, _ in factorize(v):
         result = result // p * (p - 1)
     return result
 
@@ -89,7 +78,7 @@ def binomial_valuation(top: int, j: int, base: int) -> int:
     if base < 2:
         raise UsageError(f"binomial_valuation expects base >= 2, got {base}")
     result = None
-    for p, e in factorize(base).factors:
+    for p, e in factorize(base):
         v = _carry_count(j, top - j, p)
         candidate = v // e
         result = candidate if result is None else min(result, candidate)

@@ -30,7 +30,7 @@ class Modulus:
         if n > MAX_MODULUS:
             raise UsageError(f"modulus must be <= {MAX_MODULUS}, got {n}")
         self.n = n
-        self.factors = factorize(n).factors
+        self.factors = factorize(n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Modulus) and self.n == other.n

@@ -31,7 +31,7 @@ from .monomial import (
     two_boundary_word,
 )
 from .numtheory import binomial_valuation, factorize
-from .ring import Modulus, _closing_pair, _fold, _mul, _pm_sign
+from .ring import Modulus, _closing_pair, _fold, _pm_sign
 from .words import _arrangements, _oplus, equivalent, is_solution, oplus, word
 
 #: Moduli exercised by the prime-powers preset.
@@ -111,27 +111,16 @@ def check_census_symmetry(n: int, got: set[tuple[int, ...]]) -> CheckOutcome:
                     f"{len(got)} size-4 solutions closed under arrangement")
 
 
-def _boundary_pairs(n: int, k: int, lengths) -> dict[int, list]:
-    """For each length >= 2 in `lengths`, the list of boundary pairs (a, b)
-    for which (a, k, ..., k, b) of that length is a solution: the
-    `ring._closing_pair` of E(k)**(length - 2), so at most one pair."""
-    ek = (k, -1 % n, 1 % n, 0)
-    mid = (1 % n, 0, 0, 1 % n)  # E(k)**(length - 2), from length 2 up
-    pairs = {}
-    for length in range(2, max(lengths, default=1) + 1):
-        if length in lengths:
-            pair = _closing_pair(mid, n)
-            pairs[length] = [] if pair is None else [pair]
-        mid = _mul(ek, mid, n)
-    return pairs
-
-
 def check_boundary_rigidity(n: int) -> CheckOutcome:
-    """Solutions shaped (a, k, ..., k, b) force a = b and a(a-k) = 0."""
+    """Solutions shaped (a, k, ..., k, b) force a = b and a(a-k) = 0.  A grid
+    with no pair fails: k = N-1 closes at length 3 for every N."""
+    pairs = [(k, length, pair) for k in range(n) for length in range(3, 9)
+             if (pair := _closing_pair(_fold((k,) * (length - 2), n), n))]
     failures = [f"N={n}, k={k}, length={length}: boundary pair a={a}, b={b}"
-                for k in range(n)
-                for length, pairs in _boundary_pairs(n, k, range(3, 9)).items()
-                for a, b in pairs if a != b or a * (a - k) % n != 0]
+                for k, length, (a, b) in pairs
+                if a != b or a * (a - k) % n != 0]
+    if not pairs:
+        failures.append(f"N={n}: no boundary pair at lengths 3..8")
     return _outcome(f"boundary-rigidity N={n}", failures,
                     "lengths 3..8, all boundary pairs scanned")
 
@@ -139,19 +128,22 @@ def check_boundary_rigidity(n: int) -> CheckOutcome:
 def check_monomial_run_triple(n: int) -> CheckOutcome:
     """Around each multiple of the minimal size h, boundary solutions
     (a, k, ..., k, b) are pinned: at length h*m they force a = b = k, at
-    h*m + 1 they do not exist, at h*m + 2 they force a = b = 0."""
+    h*m + 1 they do not exist, at h*m + 2 they force a = b = 0.  A missing
+    pair fails as a wrong one does."""
     m = Modulus(n)
     failures = []
     for k in range(n):
         h, _ = minimal_monomial_size(m, k)
-        expected = [(base + offset, pair) for base in range(h, 13, h)
-                    for offset, pair in ((0, (k, k)), (1, None), (2, (0, 0)))
-                    if base + offset <= 12]
-        pairs = _boundary_pairs(n, k, {length for length, _ in expected})
-        failures.extend(f"N={n}, k={k}, length={length}: boundary pair "
-                        f"a={a}, b={b}, expected {pair or 'none'}"
-                        for length, pair in expected
-                        for a, b in pairs[length] if (a, b) != pair)
+        for base in range(h, 13, h):
+            for offset, expected in ((0, (k, k)), (1, None), (2, (0, 0))):
+                length = base + offset
+                if length > 12:
+                    continue
+                got = _closing_pair(_fold((k,) * (length - 2), n), n)
+                if got != expected:
+                    failures.append(f"N={n}, k={k}, length={length}: "
+                                    f"boundary pair {got or 'none'}, "
+                                    f"expected {expected or 'none'}")
     return _outcome(f"monomial-run-triple N={n}", failures,
                     "all k, lengths up to 12")
 
@@ -225,18 +217,23 @@ def check_monomial_classification(n: int) -> CheckOutcome:
 
 def check_oracle_agreement(n: int) -> CheckOutcome:
     """The literal search agrees with the structured decider for every k;
-    witnesses are re-validated from scratch."""
+    witnesses are re-validated from scratch.  A self-check that fires in
+    either one is reported for its k."""
     m = Modulus(n)
     failures = []
     for k in range(n):
-        report = monomial_report(m, k)
-        if k == 0:
-            if not isinstance(report.certificate, ZeroExcluded):
-                failures.append(f"N={n}, k=0: expected the zero sentinel")
+        try:
+            report = monomial_report(m, k)
+            if k == 0:
+                if not isinstance(report.certificate, ZeroExcluded):
+                    failures.append(f"N={n}, k=0: expected the zero sentinel")
+                continue
+            target = word([k] * report.size, m)
+            oracle_reducible, witness = is_reducible_oracle(target)
+        except (VerificationError, InternalCheckError) as exc:
+            failures.append(f"N={n}, k={k}: {exc}")
             continue
         reducible = not report.irreducible
-        target = word([k] * report.size, m)
-        oracle_reducible, witness = is_reducible_oracle(target)
         if oracle_reducible != reducible:
             failures.append(f"N={n}, k={k}: oracle says {oracle_reducible}, "
                             f"structured decider says {reducible}")
@@ -286,8 +283,9 @@ def check_arrangement_stability(n: int) -> CheckOutcome:
     Every word of the length is decided once; the arrangements of a word
     are compared with it by lookup (a missing one is decided directly), and
     a word already produced as an arrangement of an earlier word is not
-    arranged again: its arrangements are the same orbit.  Words are value
-    tuples, decided by the kernels behind `is_solution`."""
+    arranged again: its arrangements are the same orbit.  Every word is its
+    own rotation by 0, so a word that never enters an orbit fails.  Words
+    are value tuples, decided by the kernels behind `is_solution`."""
     failures = []
     for length in (3, 4):
         status = {v: _pm_sign(_fold(v, n), n) is not None
@@ -303,6 +301,8 @@ def check_arrangement_stability(n: int) -> CheckOutcome:
                     got = _pm_sign(_fold(t, n), n) is not None
                 if got != present:
                     failures.append(f"N={n}: {v} vs arrangement {t}")
+        failures.extend(f"N={n}: {v} is not among its arrangements"
+                        for v in status if v not in arranged)
     return _outcome(f"arrangement-stability N={n}", failures,
                     "lengths 3..4, all words")
 
@@ -470,7 +470,7 @@ def _per_modulus_checks(n: int) -> list[CheckOutcome]:
         check_size_divisibility(n),
         check_monomial_classification(n),
     ]
-    if len(factorize(n).factors) == 1:
+    if len(factorize(n)) == 1:
         out.append(check_prime_power_roots(n))
         out.append(check_prime_power_size_bound(n))
     if n <= 10:

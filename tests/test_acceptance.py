@@ -15,8 +15,8 @@ import time
 from cwlab.cli import main
 from cwlab.monomial import is_reducible_monomial
 from cwlab.numtheory import euler_phi
+from cwlab.ring import _closing_pair, _fold
 from cwlab.verification import (
-    _boundary_pairs,
     _census_set,
     check_binomial_lemmas,
     check_boundary_rigidity,
@@ -131,9 +131,10 @@ def test_criterion_09_boundary_rigidity_suites():
                           check_monomial_run_triple(n))
             # rigidity past the check's lengths 3..8
             for k in range(n):
-                for length, pairs in _boundary_pairs(n, k,
-                                                     range(9, 13)).items():
-                    for a, b in pairs:
+                for length in range(9, 13):
+                    pair = _closing_pair(_fold((k,) * (length - 2), n), n)
+                    if pair is not None:
+                        a, b = pair
                         assert a == b and a * (a - k) % n == 0, \
                             (n, k, length, a, b)
 

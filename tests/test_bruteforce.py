@@ -10,9 +10,8 @@ from cwlab.bruteforce import (
 from cwlab.cli import main
 from cwlab.errors import BudgetExceededError, UsageError
 from cwlab.monomial import minimal_monomial_size
-from cwlab.ring import Modulus, _mul, _pm_sign
+from cwlab.ring import Modulus, _closing_pair, _fold, _mul, _pm_sign
 from cwlab.verification import (
-    _boundary_pairs,
     _census_set,
     check_catalog_size_4,
     check_census_symmetry,
@@ -28,13 +27,7 @@ from cwlab.words import (
     word,
 )
 
-
-def arrangements_oracle(values):
-    """The rotations of the tuple, then those of its mirror, listed by hand
-    rather than by words._arrangements, which the oracles here check."""
-    mirror = tuple(reversed(values))
-    return ([values[r:] + values[:r] for r in range(len(values))]
-            + [mirror[r:] + mirror[:r] for r in range(len(values))])
+from oracles import arrangements_oracle
 
 
 def test_census_examples():
@@ -310,6 +303,11 @@ def test_oracle_matches_the_every_arrangement_search():
         assert oracle_values(w) == every_arrangement_oracle(w), w
 
 
+def boundary_pair(n, k, length):
+    """The closing pair of (a, k, ..., k, b), as the verify checks name it."""
+    return _closing_pair(_fold((k,) * (length - 2), n), n)
+
+
 def every_pair_scan(n, k, lengths):
     """All N**2 boundary pairs (a, b) tested against E(k)**(length - 2)."""
     letters = [(x, -1 % n, 1 % n, 0) for x in range(n)]
@@ -330,9 +328,12 @@ def test_boundary_pairs_match_the_every_pair_scan():
     for n in range(2, 17):
         found = 0
         for k in range(n):
-            pairs = _boundary_pairs(n, k, lengths)
-            assert pairs == every_pair_scan(n, k, lengths), (n, k)
-            found += sum(len(pairs[length]) for length in lengths
+            pairs = {length: boundary_pair(n, k, length)
+                     for length in lengths}
+            assert {length: [] if pair is None else [pair]
+                    for length, pair in pairs.items()} \
+                == every_pair_scan(n, k, lengths), (n, k)
+            found += sum(pairs[length] is not None for length in lengths
                          if length >= 3)
         # a scan that finds nothing must not pass
         assert found > 0, n
@@ -341,6 +342,7 @@ def test_boundary_pairs_match_the_every_pair_scan():
 def test_boundary_pairs_at_the_top_of_the_domain():
     # k = -1 has h = 3: pairs (k, k) at lengths 3 and 6, (0, 0) at 5 and 8
     n = 2**31 - 1
-    assert _boundary_pairs(n, n - 1, range(3, 9)) == {
-        3: [(n - 1, n - 1)], 4: [], 5: [(0, 0)],
-        6: [(n - 1, n - 1)], 7: [], 8: [(0, 0)]}
+    assert {length: boundary_pair(n, n - 1, length)
+            for length in range(3, 9)} == {
+        3: (n - 1, n - 1), 4: None, 5: (0, 0),
+        6: (n - 1, n - 1), 7: None, 8: (0, 0)}

@@ -16,7 +16,6 @@ from cwlab import (
     ZeroExcluded,
     elementary,
     enumerate_solutions,
-    factorize,
     monomial_report,
     quadratic_roots,
     word,
@@ -27,9 +26,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: One builder per record class, with its repr pinned byte for byte.
 RECORDS = {
-    "Factorization": (
-        lambda: factorize(360),
-        "Factorization(value=360, factors=((2, 3), (3, 2), (5, 1)))"),
     "Mat2": (
         lambda: elementary(3, 10),
         "Mat2([[3, 9], [1, 0]] mod 10)"),

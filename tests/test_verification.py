@@ -16,9 +16,10 @@ from cwlab.monomial import QuadraticRoots, minimal_monomial_size
 from cwlab.ring import Modulus, elementary, is_pm_identity, mat_pow
 from cwlab.words import is_solution, oplus, word
 
+from oracles import arrangements_oracle
+
 
 MINIMAL_MONOMIAL_SIZE = verification.minimal_monomial_size
-BOUNDARY_PAIRS = verification._boundary_pairs
 
 
 def size_off_by_one(modulus, k):
@@ -26,13 +27,16 @@ def size_off_by_one(modulus, k):
     return h + 1, sign
 
 
-def refuse_family(**params):
+def refuse(*args, **params):
     raise InternalCheckError("forced refusal")
 
 
-def with_stray_pair(n, k, lengths):
-    return {length: pairs + [(3, 3)]
-            for length, pairs in BOUNDARY_PAIRS(n, k, lengths).items()}
+def stray_pair(middle, n):
+    return 3, 3
+
+
+def no_closing_pair(middle, n):
+    return None
 
 
 def roots_without_k(modulus, k):
@@ -47,6 +51,10 @@ def longer_arrangement(values):
     return [values + (0,)]
 
 
+def no_arrangements(values):
+    return []
+
+
 # (dependency, broken stand-in, check, its arguments, expected counterexample)
 BROKEN = [
     ("minimal_monomial_size", size_off_by_one, "check_size_table", (),
@@ -54,16 +62,21 @@ BROKEN = [
     ("minimal_monomial_size", size_off_by_one, "check_size_divisibility",
      (10,), "N=10, k=0: length 2"),
     ("minimal_monomial_size", size_off_by_one, "check_monomial_run_triple",
-     (10,), "N=10, k=0, length=4: boundary pair a=0, b=0"),
-    ("_boundary_pairs", with_stray_pair, "check_boundary_rigidity", (10,),
+     (10,), "N=10, k=0, length=3: boundary pair none, expected (0, 0)"),
+    ("_closing_pair", no_closing_pair, "check_monomial_run_triple", (10,),
+     "N=10, k=0, length=2: boundary pair none, expected (0, 0)"),
+    ("_closing_pair", stray_pair, "check_boundary_rigidity", (10,),
      "N=10, k=0, length=3: boundary pair a=3, b=3"),
     ("quadratic_roots", roots_without_k, "check_root_symmetry", (10,),
      "N=10, k=1: root set (0,) misses 0 or k"),
     ("is_reducible_oracle", lambda target: (False, None),
      "check_oracle_agreement", (10,), "N=10, k=3: oracle says False"),
+    # a self-check that fires is reported for its k, not raised
+    ("is_reducible_oracle", refuse, "check_oracle_agreement", (10,),
+     "N=10, k=1: forced refusal"),
     ("binomial_valuation", lambda top, j, base: 0, "check_binomial_lemmas",
      (), "C(2**1, 1) lacks 2**1"),
-    ("power_monomial_word", refuse_family, "check_family_soundness", (),
+    ("power_monomial_word", refuse, "check_family_soundness", (),
      "power_monomial {'l': 2, 'n': 2, 'm': 1, 'a': 0}: forced refusal"),
     ("_oplus", lambda a, b, n: b, "check_sum_stability", (3,),
      "N=3: a=(1, 0), b=(0, 0)"),
@@ -73,6 +86,9 @@ BROKEN = [
     ("_arrangements", longer_arrangement,
      "check_arrangement_stability", (3,),
      "N=3: (0, 0, 0) vs arrangement (0, 0, 0, 0)"),
+    # every word is its own rotation by 0, so an empty orbit fails
+    ("_arrangements", no_arrangements, "check_arrangement_stability",
+     (3,), "N=3: (0, 0, 0) is not among its arrangements"),
 ]
 
 
@@ -95,6 +111,14 @@ def test_check_fails_with_a_counterexample(monkeypatch, name, broken, check,
     assert re.search(r" \(\+\d+ more\)$", outcome.detail)
 
 
+def test_boundary_rigidity_fails_on_an_empty_scan(monkeypatch):
+    # k = N-1 closes at length 3 for every N, so no pair at all is a fault
+    monkeypatch.setattr(verification, "_closing_pair", no_closing_pair)
+    outcome = verification.check_boundary_rigidity(10)
+    assert outcome.passed is False
+    assert outcome.detail == "N=10: no boundary pair at lengths 3..8"
+
+
 def test_verify_exits_one_on_a_failing_check(monkeypatch, capsys):
     monkeypatch.setattr(verification, "closed_form_size", lambda m, k: 2)
     code = main(["verify", "--preset", "sizes"])
@@ -105,16 +129,18 @@ def test_verify_exits_one_on_a_failing_check(monkeypatch, capsys):
     assert out.endswith("2 checks, 1 passed, 1 failed\n")
 
 
+def test_verify_reports_a_raising_oracle(monkeypatch, capsys):
+    monkeypatch.setattr(verification, "is_reducible_oracle", refuse)
+    code = main(["verify", "--N", "5"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert ("FAIL oracle-agreement N=5: N=5, k=1: forced refusal (+3 more)\n"
+            in out)
+    assert out.endswith(" passed, 1 failed\n")
+
+
 def _words(m, length):
     return [word(values, m) for values in product(range(m.n), repeat=length)]
-
-
-def _arrangement_words(w):
-    """The rotations of w, then those of its reversal, built by hand rather
-    than by words._arrangements, the kernel these oracles cross-check."""
-    mirror = w.values[::-1]
-    return [word(seq[r:] + seq[:r], w.modulus)
-            for seq in (w.values, mirror) for r in range(len(seq))]
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -134,9 +160,9 @@ def test_sum_stability_matches_the_word_oracle(n):
 @pytest.mark.parametrize("n", range(2, 6))
 def test_arrangement_stability_matches_the_word_oracle(n):
     m = Modulus(n)
-    holds = all((is_solution(t) is None) == (is_solution(w) is None)
+    holds = all((is_solution(word(t, m)) is None) == (is_solution(w) is None)
                 for length in (3, 4) for w in _words(m, length)
-                for t in _arrangement_words(w))
+                for t in arrangements_oracle(w.values))
     outcome = verification.check_arrangement_stability(n)
     assert outcome.passed is holds is True
     assert outcome.detail == "lengths 3..4, all words"

@@ -24,14 +24,7 @@ from cwlab.words import (
     word_matrix,
 )
 
-
-def arrangements_oracle(values):
-    """Oracle: list rotations of the tuple, then of its mirror, by hand."""
-    out = []
-    for seq in (tuple(values), tuple(reversed(values))):
-        for r in range(len(seq)):
-            out.append(seq[r:] + seq[:r])
-    return out
+from oracles import arrangements_oracle
 
 
 def words_strategy(max_n=12, max_len=8):
