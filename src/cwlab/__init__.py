@@ -39,12 +39,12 @@ from .monomial import (
     two_boundary_word,
 )
 from .numtheory import (
+    MAX_MODULUS,
     binomial_valuation,
     euler_phi,
     factorize,
 )
 from .ring import (
-    MAX_MODULUS,
     Mat2,
     Modulus,
     elementary,

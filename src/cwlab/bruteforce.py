@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import BudgetExceededError, InternalCheckError, UsageError
-from .ring import Modulus, _closing_pair, _fold
+from .ring import Modulus, _closing_pair, _fold, as_modulus
 from .words import Word, _arrangements, is_solution
 
 #: Default enumeration budget, in matrix multiplications.  The CLI lets the
@@ -42,13 +42,14 @@ class EnumerationQuery(Record):
 
     __slots__ = ("modulus", "size", "dedup", "count_only", "budget")
 
-    def __init__(self, modulus: Modulus, size: int, dedup: bool = False,
-                 count_only: bool = False, budget: int = DEFAULT_BUDGET):
+    def __init__(self, modulus: "Modulus | int", size: int,
+                 dedup: bool = False, count_only: bool = False,
+                 budget: int = DEFAULT_BUDGET):
         if size < 1:
             raise UsageError(f"size must be >= 1, got {size}")
         if budget < 1:
             raise UsageError(f"budget must be >= 1, got {budget}")
-        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "modulus", as_modulus(modulus))
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "dedup", dedup)
         object.__setattr__(self, "count_only", count_only)

@@ -26,7 +26,7 @@ from math import gcd
 
 from ._record import Record
 from .errors import InternalCheckError, UsageError, VerificationError
-from .ring import MAX_MODULUS, Mat2, Modulus, as_modulus, elementary, mat_pow
+from .ring import Mat2, Modulus, as_modulus, elementary, mat_pow
 from .words import Word, is_solution, oplus
 
 
@@ -198,15 +198,14 @@ def power_matrix_identity(n: int, a: int) -> Mat2:
 
     Computes the product by square-and-multiply and checks it equals
     [[1 + 2**n a**2, 2**n a], [-2**n a, 1 + 2**n a**2]] before returning it.
-    Requires n >= 3; note the product is not +/-identity, which is what
-    pins the minimal all-(2a) solution length over 2**(n+1) to 2**(n+1).
+    Requires n >= 3, and n <= 29 for `Modulus` to accept 2**(n+1); note the
+    product is not +/-identity, which is what pins the minimal all-(2a)
+    solution length over 2**(n+1) to 2**(n+1).
     """
     if n < 3:
         raise UsageError(f"power_matrix_identity needs n >= 3, got {n}")
     if a % 2 == 0:
         raise UsageError(f"power_matrix_identity needs odd a, got {a}")
-    if 2 ** (n + 1) > MAX_MODULUS:
-        raise UsageError(f"2**{n + 1} exceeds the modulus cap")
     modulus = Modulus(2 ** (n + 1))
     big = modulus.n
     k = 2 * a % big

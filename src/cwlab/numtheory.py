@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from .errors import UsageError
 
-#: Largest value we factor by trial division.  Keeps every intermediate
-#: product of two values inside 64 bits.
-MAX_VALUE = 2**31 - 1
+#: Largest modulus, and largest value factored by trial division: a product
+#: of two values plus a slack bit fits in 64-bit intermediates.  Desk-scale
+#: N is tiny anyway.
+MAX_MODULUS = 2**31 - 1
 
 #: binomial_valuation refuses larger top arguments; the digit-carry count
 #: stays cheap but callers this large are almost certainly a mistake.
@@ -22,8 +23,8 @@ def factorize(v: int) -> tuple[tuple[int, int], ...]:
     ascending, e >= 1, with v == prod(p**e).  v == 1 gives ()."""
     if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         raise UsageError(f"factorize expects an integer >= 1, got {v!r}")
-    if v > MAX_VALUE:
-        raise UsageError(f"factorize expects v <= {MAX_VALUE}, got {v}")
+    if v > MAX_MODULUS:
+        raise UsageError(f"factorize expects v <= {MAX_MODULUS}, got {v}")
     n = v
     factors = []
     p = 2

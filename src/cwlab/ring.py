@@ -12,14 +12,10 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import ModulusMismatchError, UsageError
-from .numtheory import factorize
-
-#: Moduli are capped so that a product of two entries plus a slack bit fits
-#: comfortably in 64-bit intermediates; desk-scale N is tiny anyway.
-MAX_MODULUS = 2**31 - 1
+from .numtheory import MAX_MODULUS, factorize
 
 
-class Modulus:
+class Modulus(Record):
     """The ring context Z/NZ for N >= 2, together with the factorization of N."""
 
     __slots__ = ("n", "factors")
@@ -29,14 +25,12 @@ class Modulus:
             raise UsageError(f"modulus must be an integer >= 2, got {n!r}")
         if n > MAX_MODULUS:
             raise UsageError(f"modulus must be <= {MAX_MODULUS}, got {n}")
-        self.n = n
-        self.factors = factorize(n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "factors", factorize(n))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Modulus) and self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash(("Modulus", self.n))
+    def __reduce__(self):
+        # the constructor takes N alone and recomputes the factors
+        return Modulus, (self.n,)
 
     def __repr__(self) -> str:
         return f"Modulus({self.n})"
@@ -48,7 +42,7 @@ def as_modulus(m: "Modulus | int") -> Modulus:
 
 
 def _same_modulus(a: Modulus, b: Modulus) -> Modulus:
-    if a != b:
+    if a.n != b.n:
         raise ModulusMismatchError(f"mixed moduli {a.n} and {b.n}")
     return a
 

@@ -17,7 +17,7 @@ from itertools import product
 
 from ._record import Record
 from .bruteforce import EnumerationQuery, enumerate_solutions, is_reducible_oracle
-from .errors import InternalCheckError, VerificationError
+from .errors import InternalCheckError, UsageError, VerificationError
 from .monomial import (
     ZeroExcluded,
     classify_monomials,
@@ -103,10 +103,13 @@ def check_catalog_size_4(n: int, got: set[tuple[int, ...]]) -> CheckOutcome:
 
 def check_census_symmetry(n: int, got: set[tuple[int, ...]]) -> CheckOutcome:
     """`got`, the size-4 census `_census_set(n, 4)`, is closed under
-    arrangement."""
+    arrangement, and each of its words is among its own arrangements."""
     failures = [f"N={n}: {values} in census but arrangement {t} is not"
                 for values in sorted(got) for t in _arrangements(values)
                 if t not in got]
+    failures.extend(f"N={n}: {values} is not among its arrangements"
+                    for values in sorted(got)
+                    if values not in _arrangements(values))
     return _outcome(f"census-symmetry N={n}", failures,
                     f"{len(got)} size-4 solutions closed under arrangement")
 
@@ -507,8 +510,7 @@ def run_preset(name: str) -> list[CheckOutcome]:
         return outcomes
     if name == "sizes":
         return [check_size_table(), check_closed_form_agreement()]
-    raise VerificationError(f"unknown preset {name!r}; expected one of "
-                            f"{PRESETS}")
+    raise UsageError(f"unknown preset {name!r}; expected one of {PRESETS}")
 
 
 def render_report(outcomes: list[CheckOutcome]) -> tuple[bool, str]:

@@ -193,6 +193,15 @@ def test_query_validation():
         EnumerationQuery(Modulus(5), 3, budget=0)
 
 
+def test_query_accepts_an_int_modulus():
+    query = EnumerationQuery(5, 3)
+    assert query == EnumerationQuery(Modulus(5), 3)
+    assert enumerate_solutions(query).total == 2
+    for bad in (5.0, "5", True):
+        with pytest.raises(UsageError):
+            EnumerationQuery(bad, 3)
+
+
 def test_census_serialization(capsys):
     census = enumerate_solutions(EnumerationQuery(Modulus(5), 3))
     payload = json.loads(_enumerate_output(capsys, "5", "3",

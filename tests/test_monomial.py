@@ -250,6 +250,9 @@ def test_power_matrix_identity_validation():
         power_matrix_identity(2, 1)
     with pytest.raises(UsageError):
         power_matrix_identity(3, 2)
+    # 2**31 exceeds the modulus cap
+    with pytest.raises(UsageError):
+        power_matrix_identity(30, 1)
 
 
 def test_reducibility_examples():

@@ -32,6 +32,9 @@ RECORDS = {
     "Word": (
         lambda: word([8, 3, 3, 3, 8], 10),
         "Word(8,3,3,3,8 mod 10)"),
+    "Modulus": (
+        lambda: Modulus(10),
+        "Modulus(10)"),
     "EnumerationQuery": (
         lambda: EnumerationQuery(Modulus(5), 3),
         "EnumerationQuery(modulus=Modulus(5), size=3, dedup=False, "

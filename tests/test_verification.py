@@ -11,7 +11,7 @@ import pytest
 from cwlab import verification
 from cwlab.bruteforce import EnumerationQuery, enumerate_solutions
 from cwlab.cli import main
-from cwlab.errors import InternalCheckError
+from cwlab.errors import InternalCheckError, UsageError
 from cwlab.monomial import QuadraticRoots, minimal_monomial_size
 from cwlab.ring import Modulus, elementary, is_pm_identity, mat_pow
 from cwlab.words import is_solution, oplus, word
@@ -89,6 +89,9 @@ BROKEN = [
     # every word is its own rotation by 0, so an empty orbit fails
     ("_arrangements", no_arrangements, "check_arrangement_stability",
      (3,), "N=3: (0, 0, 0) is not among its arrangements"),
+    ("_arrangements", no_arrangements, "check_census_symmetry",
+     (6, verification._census_set(6, 4)),
+     "N=6: (0, 0, 0, 0) is not among its arrangements"),
 ]
 
 
@@ -117,6 +120,11 @@ def test_boundary_rigidity_fails_on_an_empty_scan(monkeypatch):
     outcome = verification.check_boundary_rigidity(10)
     assert outcome.passed is False
     assert outcome.detail == "N=10: no boundary pair at lengths 3..8"
+
+
+def test_unknown_preset_is_a_usage_error():
+    with pytest.raises(UsageError, match="unknown preset 'tiny'"):
+        verification.run_preset("tiny")
 
 
 def test_verify_exits_one_on_a_failing_check(monkeypatch, capsys):
