@@ -25,7 +25,7 @@ from .monomial import (
     monomial_report,
     quadratic_roots,
 )
-from .numtheory import binomial_valuation, euler_phi, factorize
+from .numtheory import MAX_MODULUS, binomial_valuation, euler_phi, factorize
 from .ring import Modulus, is_pm_identity
 from .verification import PRESETS, render_report, run_moduli, run_preset
 from .words import canonical_form, oplus, parse_word, word_matrix
@@ -100,10 +100,6 @@ def _report_row(report) -> list:
 
 def cmd_monomial(args) -> int:
     modulus = Modulus(args.modulus)
-    if args.all and args.k is not None:
-        raise UsageError("give either k or --all, not both")
-    if not args.all and args.k is None:
-        raise UsageError("give a residue k or --all")
     if args.all:
         reports = classify_monomials(modulus)
         count = sum(r.irreducible for r in reports)
@@ -232,36 +228,30 @@ def cmd_binom_val(args) -> int:
     return 0
 
 
-def _parse_modulus_range(raw: str) -> list[int]:
+def _modulus_range(raw: str) -> range:
+    """The `--N` type: one modulus or an inclusive range lo..hi."""
+    lo_text, dots, hi_text = raw.partition("..")
     try:
-        if ".." in raw:
-            lo_text, hi_text = raw.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-        else:
-            lo = hi = int(raw)
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
     except ValueError:
-        raise UsageError(f"cannot parse modulus range {raw!r}; expected "
-                         f"e.g. 10 or 2..6") from None
+        raise argparse.ArgumentTypeError(
+            f"cannot parse modulus range {raw!r}; expected e.g. 10 or "
+            f"2..6") from None
     if lo < 2 or hi < lo:
-        raise UsageError(f"bad modulus range {raw!r}")
-    return list(range(lo, hi + 1))
+        raise argparse.ArgumentTypeError(f"bad modulus range {raw!r}")
+    if hi > MAX_MODULUS:
+        raise argparse.ArgumentTypeError(
+            f"bad modulus range {raw!r}: N must be <= {MAX_MODULUS}")
+    return range(lo, hi + 1)
 
 
 def cmd_verify(args) -> int:
-    if (args.moduli is None) == (args.preset is None):
-        raise UsageError("give exactly one of --N or --preset")
-    if args.preset is not None:
-        outcomes = run_preset(args.preset)
-    else:
-        outcomes = run_moduli(_parse_modulus_range(args.moduli))
+    outcomes = (run_preset(args.preset) if args.preset is not None
+                else run_moduli(args.moduli))
     all_passed, report = render_report(outcomes)
     sys.stdout.write(report)
     return 0 if all_passed else 1
-
-
-def _add_format(parser) -> None:
-    parser.add_argument("--format", choices=FORMATS, default="text",
-                        help="output format (default text)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,73 +262,71 @@ def build_parser() -> argparse.ArgumentParser:
                     "solutions with reducibility certificates, exhaustive "
                     "enumeration, and verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=FORMATS, default="text",
+                           help="output format (default text)")
+    modular = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    modular.add_argument("modulus", type=int, metavar="N")
 
-    p = sub.add_parser("check", help="matrix of a word and its solution sign")
-    p.add_argument("modulus", type=int, metavar="N")
+    p = sub.add_parser("check", parents=[modular],
+                       help="matrix of a word and its solution sign")
     p.add_argument("word", help="comma-separated integers")
-    _add_format(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("monomial",
+    p = sub.add_parser("monomial", parents=[modular],
                        help="minimal monomial solution report(s)")
-    p.add_argument("modulus", type=int, metavar="N")
-    p.add_argument("k", type=int, nargs="?", default=None)
-    p.add_argument("--all", action="store_true",
-                   help="table for every k in [0, N)")
-    _add_format(p)
+    choice = p.add_mutually_exclusive_group(required=True)
+    choice.add_argument("k", type=int, nargs="?", default=None)
+    choice.add_argument("--all", action="store_true",
+                        help="table for every k in [0, N)")
     p.set_defaults(func=cmd_monomial)
 
-    p = sub.add_parser("sum", help="boundary sum of two words")
-    p.add_argument("modulus", type=int, metavar="N")
+    p = sub.add_parser("sum", parents=[modular],
+                       help="boundary sum of two words")
     p.add_argument("left")
     p.add_argument("right")
-    _add_format(p)
     p.set_defaults(func=cmd_sum)
 
-    p = sub.add_parser("canon", help="canonical arrangement of a word")
-    p.add_argument("modulus", type=int, metavar="N")
+    p = sub.add_parser("canon", parents=[modular],
+                       help="canonical arrangement of a word")
     p.add_argument("word")
-    _add_format(p)
     p.set_defaults(func=cmd_canon)
 
-    p = sub.add_parser("enumerate",
+    p = sub.add_parser("enumerate", parents=[modular],
                        help="all solutions of one size (budgeted)")
-    p.add_argument("modulus", type=int, metavar="N")
     p.add_argument("size", type=int, metavar="n")
     p.add_argument("--dedup", action="store_true",
                    help="collapse to canonical representatives")
     p.add_argument("--count-only", action="store_true")
-    _add_format(p)
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("roots", help="roots of x(x-k) mod N")
-    p.add_argument("modulus", type=int, metavar="N")
+    p = sub.add_parser("roots", parents=[modular],
+                       help="roots of x(x-k) mod N")
     p.add_argument("k", type=int)
-    _add_format(p)
     p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("phi", help="Euler phi")
+    p = sub.add_parser("phi", parents=[formatted], help="Euler phi")
     p.add_argument("value", type=int)
-    _add_format(p)
     p.set_defaults(func=cmd_phi)
 
-    p = sub.add_parser("factor", help="prime factorization")
+    p = sub.add_parser("factor", parents=[formatted],
+                       help="prime factorization")
     p.add_argument("value", type=int)
-    _add_format(p)
     p.set_defaults(func=cmd_factor)
 
-    p = sub.add_parser("binom-val",
+    p = sub.add_parser("binom-val", parents=[formatted],
                        help="largest e with base**e dividing C(top, j)")
     p.add_argument("top", type=int)
     p.add_argument("j", type=int)
     p.add_argument("base", type=int)
-    _add_format(p)
     p.set_defaults(func=cmd_binom_val)
 
     p = sub.add_parser("verify", help="run a deterministic check suite")
-    p.add_argument("--N", dest="moduli", default=None, metavar="RANGE",
-                   help="modulus or range, e.g. 10 or 2..6")
-    p.add_argument("--preset", choices=PRESETS, default=None)
+    choice = p.add_mutually_exclusive_group(required=True)
+    choice.add_argument("--N", dest="moduli", type=_modulus_range,
+                        metavar="RANGE",
+                        help="modulus or range, e.g. 10 or 2..6")
+    choice.add_argument("--preset", choices=PRESETS)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -13,10 +13,6 @@ from .errors import UsageError
 #: N is tiny anyway.
 MAX_MODULUS = 2**31 - 1
 
-#: binomial_valuation refuses larger top arguments; the digit-carry count
-#: stays cheap but callers this large are almost certainly a mistake.
-MAX_BINOMIAL_TOP = 10**6
-
 
 def factorize(v: int) -> tuple[tuple[int, int], ...]:
     """Trial-division factorization of v >= 1 as ((p, e), ...), primes
@@ -73,9 +69,6 @@ def binomial_valuation(top: int, j: int, base: int) -> int:
     if not (0 <= j <= top):
         raise UsageError(f"binomial_valuation expects 0 <= j <= top, "
                          f"got top={top}, j={j}")
-    if top > MAX_BINOMIAL_TOP:
-        raise UsageError(f"binomial_valuation expects top <= "
-                         f"{MAX_BINOMIAL_TOP}, got {top}")
     if base < 2:
         raise UsageError(f"binomial_valuation expects base >= 2, got {base}")
     result = None

@@ -152,14 +152,20 @@ def check_monomial_run_triple(n: int) -> CheckOutcome:
 
 
 def check_root_symmetry(n: int) -> CheckOutcome:
+    """Every root set equals the literal scan of x(x - k) = 0 over [0, N)."""
     m = Modulus(n)
     failures = []
     for k in range(n):
         try:
             # raises unless 0 and k are roots and x -> k - x closes the set
-            quadratic_roots(m, k)
+            roots = set(quadratic_roots(m, k).roots)
         except InternalCheckError as exc:
             failures.append(f"N={n}, k={k}: {exc}")
+            continue
+        scan = {x for x in range(n) if x * (x - k) % n == 0}
+        if roots != scan:
+            failures.append(f"N={n}, k={k}: roots {tuple(sorted(roots))}, "
+                            f"scan {tuple(sorted(scan))}")
     return _outcome(f"quadratic-root-symmetry N={n}", failures,
                     "root sets closed under x -> k - x")
 

@@ -24,6 +24,7 @@ class Word(Record):
     __slots__ = ("values", "modulus")
 
     def __init__(self, values: tuple[int, ...], modulus: Modulus):
+        values = tuple(values)
         if len(values) < 1:
             raise UsageError("a word needs at least one component")
         n = modulus.n
@@ -61,8 +62,6 @@ def parse_word(text: str, modulus: "Modulus | int") -> Word:
     except ValueError:
         raise UsageError(f"cannot parse word literal {text!r}: expected "
                          "comma-separated integers") from None
-    if not values:
-        raise UsageError("empty word literal")
     return word(values, m)
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cwlab.cli import dump_json, main
+from cwlab.cli import build_parser, dump_json, main
 from cwlab.verification import PRESETS
 
 
@@ -197,11 +197,21 @@ def test_monomial_k_out_of_range(capsys):
     assert "must lie in" in err
 
 
+def usage_error(capsys, *argv):
+    """argparse's refusal: SystemExit(2), nothing on stdout, the stderr."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc_info.value.code == 2
+    assert captured.out == ""
+    return captured.err
+
+
 def test_monomial_requires_k_or_all(capsys):
-    code, _, _ = run_cli(capsys, "monomial", "9")
-    assert code == 2
-    code, _, _ = run_cli(capsys, "monomial", "9", "3", "--all")
-    assert code == 2
+    assert "one of the arguments k --all is required" in \
+        usage_error(capsys, "monomial", "9")
+    assert "argument --all: not allowed with argument k" in \
+        usage_error(capsys, "monomial", "9", "3", "--all")
 
 
 def test_sum_and_canon(capsys):
@@ -282,6 +292,10 @@ def test_roots_phi_factor_binom_val(capsys):
     code, out, _ = run_cli(capsys, "binom-val", "8", "3", "2")
     assert code == 0 and ": 3" in out
 
+    # C(2000000, 3) = 2**7 * odd; top has no cap
+    code, out, _ = run_cli(capsys, "binom-val", "2000000", "3", "2")
+    assert code == 0 and ": 7" in out
+
 
 def roots_by_crt(n, k):
     """Oracle: scan each prime power q of n, then combine the residues with
@@ -342,12 +356,41 @@ def test_verify_single_modulus_includes_reducibility(capsys):
 
 
 def test_verify_requires_exactly_one_selector(capsys):
-    code, _, _ = run_cli(capsys, "verify")
-    assert code == 2
-    code, _, _ = run_cli(capsys, "verify", "--N", "4", "--preset", "sizes")
-    assert code == 2
-    code, _, err = run_cli(capsys, "verify", "--N", "6..2")
-    assert code == 2
+    assert "one of the arguments --N --preset is required" in \
+        usage_error(capsys, "verify")
+    assert "argument --preset: not allowed with argument --N" in \
+        usage_error(capsys, "verify", "--N", "4", "--preset", "sizes")
+    for raw, message in (("6..2", "bad modulus range '6..2'"),
+                         ("1..3", "bad modulus range '1..3'"),
+                         ("2..", "cannot parse modulus range '2..'"),
+                         ("2..x", "cannot parse modulus range '2..x'")):
+        assert f"argument --N: {message}" in \
+            usage_error(capsys, "verify", "--N", raw)
+
+
+def test_verify_refuses_moduli_past_the_domain(capsys):
+    # refused while parsing, before any census budget is reached
+    for raw in ("2147483647..2147483648", "2..4000000000"):
+        err = usage_error(capsys, "verify", "--N", raw)
+        assert "2147483647" in err
+        assert "budget" not in err
+
+
+def test_verify_range_is_lazy():
+    args = build_parser().parse_args(["verify", "--N", "2..2147483647"])
+    assert args.moduli == range(2, 2 ** 31)
+    assert build_parser().parse_args(["verify", "--N", "10"]).moduli == \
+        range(10, 11)
+
+
+@pytest.mark.parametrize("command", [
+    "check", "monomial", "sum", "canon", "enumerate", "roots", "phi",
+    "factor", "binom-val", "verify"])
+def test_every_subcommand_has_help(capsys, command):
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--help"])
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: cwl {command} ")
 
 
 # sha256 of each preset's stdout: `cwl verify` output is pinned byte for byte

@@ -61,6 +61,12 @@ def test_binomial_valuation_examples():
     assert binomial_valuation(17, 17, 5) == 0
 
 
+def test_binomial_valuation_of_a_large_top():
+    value = math.comb(2_000_000, 3)
+    assert value % 2 ** 7 == 0 and value % 2 ** 8 != 0
+    assert binomial_valuation(2_000_000, 3, 2) == 7
+
+
 def test_binomial_valuation_range_errors():
     with pytest.raises(UsageError):
         binomial_valuation(3, 4, 2)

@@ -43,6 +43,11 @@ def roots_without_k(modulus, k):
     return QuadraticRoots(modulus, k, (0,))
 
 
+def roots_zero_and_k(modulus, k):
+    """Closed under x -> k - x and holding 0 and k, but not every root."""
+    return QuadraticRoots(modulus, k, tuple(sorted({0, k % modulus.n})))
+
+
 def all_zero_arrangement(values):
     return [(0,) * len(values)]
 
@@ -69,6 +74,8 @@ BROKEN = [
      "N=10, k=0, length=3: boundary pair a=3, b=3"),
     ("quadratic_roots", roots_without_k, "check_root_symmetry", (10,),
      "N=10, k=1: root set (0,) misses 0 or k"),
+    ("quadratic_roots", roots_zero_and_k, "check_root_symmetry", (10,),
+     "N=10, k=1: roots (0, 1), scan (0, 1, 5, 6)"),
     ("is_reducible_oracle", lambda target: (False, None),
      "check_oracle_agreement", (10,), "N=10, k=3: oracle says False"),
     # a self-check that fires is reported for its k, not raised

@@ -41,6 +41,13 @@ def test_word_reduces_and_validates():
         word([], 7)
 
 
+def test_word_built_from_a_list_stores_a_tuple():
+    w = Word([1, 1, 1], Modulus(5))
+    assert type(w.values) is tuple
+    assert w == word([1, 1, 1], 5)
+    assert hash(w) == hash(word([1, 1, 1], 5))
+
+
 def test_parse_word():
     assert parse_word("-2,0,-1,1", 7).values == (5, 0, 6, 1)
     assert parse_word(" 3 , 2 ", 5).values == (3, 2)
