@@ -8,7 +8,7 @@ cross-checks its computed verdicts against that rule on every run.
 Run:  python3 demos/02_monomial_classification.py
 """
 
-from cwlab import classify_monomials, euler_phi, is_reducible_monomial
+from cwlab import classify_monomials, euler_phi, monomial_report
 
 for n in (16, 27):
     reports = classify_monomials(n)
@@ -23,8 +23,9 @@ for n in (16, 27):
 
 # The certificates are verified objects, not strings: a decomposition knows
 # its summands and re-checks them on construction.
-reducible, certificate = is_reducible_monomial(10, 3)
-print(f"N=10, k=3 reducible: {reducible}")
+report = monomial_report(10, 3)
+certificate = report.certificate
+print(f"N=10, k=3 reducible: {not report.irreducible}")
 print(f"  target {certificate.target.values}")
 print(f"  left   {certificate.left.values}")
 print(f"  right  {certificate.right.values}")

@@ -14,9 +14,8 @@ from cwlab import (
     EnumerationQuery,
     Modulus,
     enumerate_solutions,
-    is_reducible_monomial,
     is_reducible_oracle,
-    minimal_monomial_size,
+    monomial_report,
     word,
 )
 
@@ -36,13 +35,12 @@ print()
 
 # Structured decider vs literal oracle on a minimal all-k solution.
 n, k = 10, 3
-h, _sign = minimal_monomial_size(n, k)
-target = word([k] * h, n)
-structured, certificate = is_reducible_monomial(n, k)
+report = monomial_report(n, k)
+target = word([k] * report.size, n)
 oracle, witness = is_reducible_oracle(target)
-print(f"N={n}, k={k}: minimal all-{k} solution has length {h}")
-print(f"  structured decider: reducible={structured}, "
-      f"{certificate.summary()}")
+print(f"N={n}, k={k}: minimal all-{k} solution has length {report.size}")
+print(f"  structured decider: reducible={not report.irreducible}, "
+      f"{report.certificate.summary()}")
 left, right, _arrangement = witness
 print(f"  literal oracle:     reducible={oracle}, "
       f"witness {left.values} (+) {right.values}")

@@ -3,19 +3,19 @@ N and n, and an unstructured reducibility oracle that searches every
 distinct arrangement, split and boundary pair instead of trusting any
 structure.
 
-The enumeration scans the N**(n-2) prefixes of the first n-2 letters
-depth-first, carrying the running matrix product so each extension costs
-one multiplication.  The last two letters are not scanned: the prefix's
-matrix either rules out every tail or forces the only one (see
-enumerate_solutions), so every solution is still found and each costs one
-test.  Deduplication builds each class's 2n rotations and reversals once,
-when the scan finds its first member, so it costs classes * 2n arrangements
-plus one set lookup per solution.  The oracle folds each split's interior
-with `ring._fold` and derives its one boundary pair with
-`ring._closing_pair`, the closed form that `verify` uses, so a split costs
-O(n) products whatever N is.  Both the scan order and the oracle's search
-order are fixed, which makes output and witnesses reproducible byte for
-byte.
+The one census scan, `_solutions`, walks the N**(n-2) prefixes of the first
+n-2 letters depth-first, carrying the running matrix product so each
+extension costs one multiplication.  The last two letters are not scanned:
+the prefix's matrix either rules out every tail or forces the only one, so
+every solution is still found, in lexicographic order, and each costs one
+test.  Deduplication keeps the first member of each class met, which is its
+least arrangement by closure under arrangement (see enumerate_solutions),
+at classes * 2n arrangements plus one set lookup per solution.  The oracle
+folds each split's interior with `ring._fold` and derives its one boundary
+pair with `ring._closing_pair`, the closed form that `verify` uses, so a
+split costs O(n) products whatever N is.  Both the scan order and the
+oracle's search order are fixed, which makes output and witnesses
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -31,14 +31,10 @@ DEFAULT_BUDGET = 10**8
 
 
 class EnumerationQuery(Record):
-    """A request to enumerate all solutions of a given size.
-
-    dedup collapses the output to one least arrangement per class (the
-    canonical form), at a cost of 2n arrangements per class plus one set
-    lookup per solution; count_only keeps only the total.  The budget is
-    checked before scanning: the scan needs about N**(size-2)
-    multiplications.
-    """
+    """A request to enumerate all solutions of a given size: dedup keeps one
+    least arrangement per class (the canonical form), count_only only the
+    total.  The scan needs about N**(size-2) multiplications, checked
+    against the budget before it starts."""
 
     __slots__ = ("modulus", "size", "dedup", "count_only", "budget")
 
@@ -74,18 +70,15 @@ class Census(Record):
 
 
 def _check_budget(n: int, exponent: int, budget: int) -> None:
-    """Refuse when n**exponent exceeds the budget, without building the
-    power: the product grows by a factor n >= 2 per step and stops at the
-    first step past the budget, so at most about log2(budget) steps run."""
-    product = 1
-    for _ in range(exponent):
-        product *= n
-        if product > budget:
-            raise BudgetExceededError(n, exponent, budget)
+    """Refuse when n**exponent exceeds the budget: with n >= 2 it does once
+    exponent >= budget.bit_length(), so only smaller powers are built."""
+    if exponent >= budget.bit_length() or n ** exponent > budget:
+        raise BudgetExceededError(n, exponent, budget)
 
 
-def enumerate_solutions(query: EnumerationQuery) -> Census:
-    """Scan the N**(size-2) prefixes and solve each one's last two letters.
+def _solutions(n: int, size: int):
+    """Every solution of a size >= 2 over Z/nZ as a value tuple, from the
+    N**(size-2) prefixes and each one's solved last two letters.
 
     With P = E(a_{n-2}) ... E(a_1), the word is a solution exactly when
     E(y) E(x) P = +/-Id, i.e. E(x) P E(y) = +/-Id, so (y, x) is
@@ -93,33 +86,12 @@ def enumerate_solutions(query: EnumerationQuery) -> Census:
     then (x, y) = (P_11 P_21, -P_11 P_12), spelled inline in the hot loop.
     Each prefix therefore has at most one solution, so the words come out
     in lexicographic order.
-
-    Under dedup, the first solution v of a class builds its orbit (the
-    rotations of v and of its reversal) once, keeps min(orbit) and leaves
-    the other members in a pending set; the scan yields each word once, so
-    a later member costs one lookup and is removed.  No closure of the
-    solutions under arrangement is assumed: orbits partition all words.
     """
-    m = query.modulus
-    n = m.n
-    size = query.size
-    if size == 1:
-        # E(a) has nonzero off-diagonal entries
-        return Census(m, size, 0, query.dedup)
     prefix_len = size - 2
-    _check_budget(n, prefix_len, query.budget)
-
     one = 1 % n
     minus_one = -1 % n
     prefix = [(one, 0, 0, one)] * (prefix_len + 1)
     digits = [0] * prefix_len
-    keep = not query.count_only
-    dedup = query.dedup
-    total = 0
-    # every solution in scan order or, under dedup, one least arrangement
-    # per class; pending holds the members of those classes not scanned yet
-    found: list[tuple[int, ...]] = []
-    pending: set[tuple[int, ...]] = set()
     pos = 0
     while True:
         while pos < prefix_len:
@@ -131,30 +103,51 @@ def enumerate_solutions(query: EnumerationQuery) -> Census:
         a, b, c, _ = prefix[prefix_len]
         if a == one or a == minus_one:
             # a = -s, so (x, y) = (a c, -a b)
-            total += 1
-            if keep:
-                v = tuple(digits) + (a * c % n, -a * b % n)
-                if not dedup:
-                    found.append(v)
-                elif v in pending:
-                    pending.remove(v)
-                else:
-                    # first member of its class: build the orbit once
-                    orbit = set(_arrangements(v))
-                    found.append(min(orbit))
-                    orbit.discard(v)
-                    pending |= orbit
+            yield tuple(digits) + (a * c % n, -a * b % n)
         pos = prefix_len - 1
         while pos >= 0 and digits[pos] == n - 1:
             digits[pos] = 0
             pos -= 1
         if pos < 0:
-            break
+            return
         digits[pos] += 1
 
-    if dedup:
-        found.sort()
-    return Census(m, size, total, dedup, tuple(Word(v, m) for v in found))
+
+def enumerate_solutions(query: EnumerationQuery) -> Census:
+    """Every solution of the query's size, from one scan of `_solutions`.
+
+    Under dedup, the first member v of a class met by the scan is kept and
+    its other arrangements (the rotations of v and of its reversal) wait in
+    a pending set, so a later member costs one lookup and is removed.  The
+    kept v is the least arrangement: solutions are closed under rotation,
+    which conjugates the product by E(a_1), and under reversal, which sends
+    M to (J M J)^T with J = diag(1, -1); so every arrangement of v is a
+    solution, and the lexicographic scan meets the least one first.
+    """
+    m = query.modulus
+    size = query.size
+    if size == 1:
+        # E(a) has nonzero off-diagonal entries
+        return Census(m, size, 0, query.dedup)
+    _check_budget(m.n, size - 2, query.budget)
+    solutions = _solutions(m.n, size)
+    if query.count_only:
+        return Census(m, size, sum(1 for _ in solutions), query.dedup)
+    total = 0
+    found: list[tuple[int, ...]] = []
+    pending: set[tuple[int, ...]] = set()
+    for v in solutions:
+        total += 1
+        if not query.dedup:
+            found.append(v)
+        elif v in pending:
+            pending.remove(v)
+        else:
+            found.append(v)
+            pending.update(_arrangements(v))
+            pending.discard(v)
+    return Census(m, size, total, query.dedup,
+                  tuple(Word(v, m) for v in found))
 
 
 def is_reducible_oracle(w: Word):

@@ -273,7 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word", help="comma-separated integers")
     p.set_defaults(func=cmd_check)
 
+    # argparse 3.10/3.11 drops (k | --all) from a generated usage line
+    formats = "{" + ",".join(FORMATS) + "}"
     p = sub.add_parser("monomial", parents=[modular],
+                       usage=f"%(prog)s [-h] [--format {formats}] "
+                             f"N (k | --all)",
                        help="minimal monomial solution report(s)")
     choice = p.add_mutually_exclusive_group(required=True)
     choice.add_argument("k", type=int, nargs="?", default=None)

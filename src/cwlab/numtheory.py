@@ -71,9 +71,14 @@ def binomial_valuation(top: int, j: int, base: int) -> int:
                          f"got top={top}, j={j}")
     if base < 2:
         raise UsageError(f"binomial_valuation expects base >= 2, got {base}")
+    return _binomial_valuation(top, j, factorize(base))
+
+
+def _binomial_valuation(top: int, j: int, factors) -> int:
+    """`binomial_valuation` of a checked (top, j), the base as its factors."""
     result = None
-    for p, e in factorize(base):
-        v = _carry_count(j, top - j, p)
-        candidate = v // e
-        result = candidate if result is None else min(result, candidate)
+    for p, e in factors:
+        v = _carry_count(j, top - j, p) // e
+        if result is None or v < result:
+            result = v
     return result

@@ -16,7 +16,8 @@ import math
 from itertools import product
 
 from ._record import Record
-from .bruteforce import EnumerationQuery, enumerate_solutions, is_reducible_oracle
+from .bruteforce import (DEFAULT_BUDGET, _check_budget, _solutions,
+                         is_reducible_oracle)
 from .errors import InternalCheckError, UsageError, VerificationError
 from .monomial import (
     ZeroExcluded,
@@ -30,7 +31,7 @@ from .monomial import (
     quadratic_roots,
     two_boundary_word,
 )
-from .numtheory import binomial_valuation, factorize
+from .numtheory import _binomial_valuation, binomial_valuation, factorize
 from .ring import Modulus, _closing_pair, _fold, _pm_sign
 from .words import _arrangements, _oplus, equivalent, is_solution, oplus, word
 
@@ -57,8 +58,8 @@ def _outcome(name: str, failures: list[str], ok_detail: str) -> CheckOutcome:
 
 
 def _census_set(n: int, size: int) -> set[tuple[int, ...]]:
-    census = enumerate_solutions(EnumerationQuery(Modulus(n), size))
-    return {w.values for w in census.words}
+    _check_budget(n, size - 2, DEFAULT_BUDGET)
+    return set(_solutions(n, size))
 
 
 def check_catalog_size_2(n: int) -> CheckOutcome:
@@ -269,11 +270,7 @@ def check_sum_stability(n: int) -> CheckOutcome:
 
     Decided on value tuples through the kernels behind `is_solution` and
     `oplus`."""
-    m = Modulus(n)
-    solutions = []
-    for size in (2, 3, 4):
-        census = enumerate_solutions(EnumerationQuery(m, size))
-        solutions.extend(w.values for w in census.words)
+    solutions = [v for size in (2, 3, 4) for v in _solutions(n, size)]
     words = [(a, _pm_sign(_fold(a, n), n) is None) for length in (2, 3)
              for a in _all_values(n, length)]
     failures = []
@@ -450,16 +447,17 @@ def check_binomial_lemmas() -> CheckOutcome:
         for j in range(3, n + 1):
             if binomial_valuation(2 ** (n - 1), j, 2) < n + 1 - j:
                 failures.append(f"C(2**{n - 1}, {j}) lacks 2**{n + 1 - j}")
+    bases = [(base, factorize(base)) for base in (2, 3, 4, 5, 6, 12)]
     for top in range(0, 61):
         for j in range(top + 1):
             value = math.comb(top, j)
-            for base in (2, 3, 4, 5, 6, 12):
+            for base, factors in bases:
                 exact = 0
                 rest = value
                 while rest % base == 0:
                     rest //= base
                     exact += 1
-                if binomial_valuation(top, j, base) != exact:
+                if _binomial_valuation(top, j, factors) != exact:
                     failures.append(f"valuation mismatch at C({top},{j}) "
                                     f"base {base}")
     return _outcome("binomial-divisibility", failures,

@@ -4,6 +4,7 @@ import pytest
 
 from cwlab.bruteforce import (
     EnumerationQuery,
+    _check_budget,
     enumerate_solutions,
     is_reducible_oracle,
 )
@@ -112,6 +113,18 @@ def test_budget_boundary_counts_prefix_multiplications():
         enumerate_solutions(EnumerationQuery(Modulus(5), 5, budget=124))
     assert "5**3" in str(exc_info.value)
     assert "budget is 124" in str(exc_info.value)
+
+
+def test_check_budget_refuses_exactly_when_the_power_exceeds_it():
+    # the bit-length cut must agree with the literal power at its boundary
+    for n in (2, 3, 10):
+        for exponent in range(12):
+            for budget in (1, 2, 3, 4, 7, 8, 9, 1000, 1024, 1025):
+                if n ** exponent > budget:
+                    with pytest.raises(BudgetExceededError):
+                        _check_budget(n, exponent, budget)
+                else:
+                    _check_budget(n, exponent, budget)
 
 
 def enumerate_oracle(query):

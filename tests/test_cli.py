@@ -1,9 +1,10 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
-from cwlab.cli import build_parser, dump_json, main
+from cwlab.cli import build_parser, console_main, dump_json, main
 from cwlab.verification import PRESETS
 
 
@@ -376,6 +377,15 @@ def test_verify_refuses_moduli_past_the_domain(capsys):
         assert "budget" not in err
 
 
+def test_verify_refuses_a_modulus_past_the_size_4_census_budget(capsys):
+    # the size-4 census runs first and needs 10001**2 > 10**8 multiplications
+    code, out, err = run_cli(capsys, "verify", "--N", "10001")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: enumeration needs about 10001**2 matrix "
+                   "multiplications, budget is 100000000\n")
+
+
 def test_verify_range_is_lazy():
     args = build_parser().parse_args(["verify", "--N", "2..2147483647"])
     assert args.moduli == range(2, 2 ** 31)
@@ -391,6 +401,20 @@ def test_every_subcommand_has_help(capsys, command):
         main([command, "--help"])
     assert exc_info.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: cwl {command} ")
+
+
+def test_monomial_help_shows_that_k_or_all_is_required(capsys):
+    with pytest.raises(SystemExit):
+        main(["monomial", "--help"])
+    assert "(k | --all)" in capsys.readouterr().out.splitlines()[0]
+
+
+def test_console_main_exits_with_mains_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["cwl", "check", "5", "1,2"])
+    with pytest.raises(SystemExit) as exc_info:
+        console_main()
+    assert exc_info.value.code == 1
+    assert "not a solution" in capsys.readouterr().out
 
 
 # sha256 of each preset's stdout: `cwl verify` output is pinned byte for byte

@@ -202,7 +202,7 @@ def test_two_boundary_word_example():
     assert is_solution(w) is not None
 
 
-def test_family_word_dispatch_and_validation():
+def test_family_builders_validate_parameters():
     with pytest.raises(UsageError):
         power_monomial_word(l=1, n=3, m=1, a=1)  # needs l >= 2
     with pytest.raises(UsageError):
