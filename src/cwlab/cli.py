@@ -171,6 +171,10 @@ def _budget_from_env() -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.count_only and args.format == "csv":
+        # a header with no rows would read as a census with no solutions
+        raise UsageError("--count-only has no CSV form; use --format text "
+                         "or --format json")
     modulus = Modulus(args.modulus)
     query = EnumerationQuery(modulus, args.size, dedup=args.dedup,
                              count_only=args.count_only,

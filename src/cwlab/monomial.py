@@ -18,6 +18,11 @@ no (length, root) candidate is a solution, which anyone can recompute.
 The roots of x(x - k) come in closed form per prime power of N, combined by
 the Chinese remainder theorem.  The unstructured search in the bruteforce
 module cross-checks this logic.
+
+The table over all k walks each pair {k, N - k} once, by the mirror map:
+E(-k) = -J E(k) J with J = diag(1, -1), so c_j(-k) = (-1)**j c_j(k) and -k
+has k's h and split index, sign (-1)**h times k's and boundary -x; and
+x(x - k) = 0 exactly when (-x)(-x + k) = 0, so -k's roots are k's negated.
 """
 
 from __future__ import annotations
@@ -311,6 +316,23 @@ class MonomialReport(Record):
         object.__setattr__(self, "certificate", certificate)
 
 
+def _report(m: Modulus, kv: int, h: int, sign: int, split, roots=None
+            ) -> MonomialReport:
+    """kv's report from its walk; roots, if given, are kv's QuadraticRoots."""
+    if kv == 0:
+        certificate = ZeroExcluded()
+    elif split is not None:
+        j, x = split
+        y = (kv - x) % m.n
+        certificate = Decomposition(Word((kv,) * h, m),
+                                    Word((y,) + (kv,) * (h - j - 2) + (y,), m),
+                                    Word((x,) + (kv,) * j + (x,), m))
+    else:
+        certificate = Exhausted(h, (roots or quadratic_roots(m, kv)).roots)
+    return MonomialReport(m, kv, h, sign, isinstance(certificate, Exhausted),
+                          certificate)
+
+
 def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
     """Minimal size, sign and certified reducibility verdict from one walk.
 
@@ -324,21 +346,8 @@ def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
     with a sentinel certificate.
     """
     m = as_modulus(modulus)
-    n = m.n
-    kv = k % n
-    h, sign, split = _walk(n, kv, size_cap(m))
-    if kv == 0:
-        certificate = ZeroExcluded()
-    elif split is not None:
-        j, x = split
-        y = (kv - x) % n
-        certificate = Decomposition(Word((kv,) * h, m),
-                                    Word((y,) + (kv,) * (h - j - 2) + (y,), m),
-                                    Word((x,) + (kv,) * j + (x,), m))
-    else:
-        certificate = Exhausted(h, quadratic_roots(m, kv).roots)
-    return MonomialReport(m, kv, h, sign, isinstance(certificate, Exhausted),
-                          certificate)
+    kv = k % m.n
+    return _report(m, kv, *_walk(m.n, kv, size_cap(m)))
 
 
 def is_reducible_monomial(modulus: "Modulus | int", k: int) -> tuple[
@@ -368,12 +377,27 @@ def _prime_power_irreducible(p: int, exponent: int, k: int) -> bool:
 def classify_monomials(modulus: "Modulus | int") -> list[MonomialReport]:
     """One report per k in [0, N), ordered by k.
 
+    Only k <= N // 2 is walked.  N - k gets k's h and split index, the sign
+    times (-1)**h, boundary -x and negated roots, since E(-k) = -J E(k) J and
+    x(x - k) = 0 exactly when (-x)(-x + k) = 0; its certificate checks itself.
+
     Over a prime power the computed verdicts are cross-checked against the
     closed-form irreducibility rule; any disagreement raises, since it would
     mean either the decider or the rule is wrong.
     """
     m = as_modulus(modulus)
-    reports = [monomial_report(m, k) for k in range(m.n)]
+    n, cap = m.n, size_cap(m)
+    reports = [None] * n
+    for k in range(n // 2 + 1):
+        h, sign, split = _walk(n, k, cap)
+        reports[k] = report = _report(m, k, h, sign, split)
+        if 0 < k < n - k:
+            roots = (QuadraticRoots(m, n - k, tuple(sorted(
+                -x % n for x in report.certificate.roots)))
+                if report.irreducible else None)
+            reports[n - k] = _report(m, n - k, h, (-1) ** h * sign,
+                                     split and (split[0], -split[1] % n),
+                                     roots)
     if len(m.factors) == 1:
         p, exponent = m.factors[0]
         for report in reports:

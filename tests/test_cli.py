@@ -260,6 +260,15 @@ def test_enumerate_count_only_and_dedup(capsys):
     assert 0 < len(deduped["representatives"]) < deduped["total"]
 
 
+def test_enumerate_count_only_has_no_csv_form(capsys):
+    # a bare header would be byte-identical to `cwl enumerate 3 1 --format csv`
+    code, out, err = run_cli(capsys, "enumerate", "6", "4", "--count-only",
+                             "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "--format text" in err and "--format json" in err
+
+
 def test_enumerate_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("CWL_BUDGET", "100")
     code, _, err = run_cli(capsys, "enumerate", "5", "6")
@@ -445,3 +454,47 @@ def test_verify_moduli_range_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "verify", "--N", "2..12")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == MODULI_DIGEST
+
+
+#: sha256 of `cwl monomial N --all` stdout; the N - k half of each table comes
+#: from k's walk by the mirror map, and these pin it byte for byte.
+ALL_DIGESTS = {
+    (2, "text"):
+        "16a833fb9aabb82ce11e0c870beeda443e7a730c7edd2e2e9cff60e432f9b72d",
+    (2, "json"):
+        "2c77bd487f27ed6a1dfe72b8f471316b5d5a058100b6bd4c44c038f20186ed8a",
+    (2, "csv"):
+        "093e85e984c252da36a745c85b734cb7467149540997f8bfa5b3c39bbe31aadf",
+    (4, "text"):
+        "f544ed384b516293f7f32cc859e44f1fd1da2c12424b9e750010506c0d0b3da1",
+    (4, "json"):
+        "e88aaa4e2879e7f19b3eda02da82614138e45f0f631bd783b3ee812db0b1e5d1",
+    (4, "csv"):
+        "608123bc459f583c415e21f851193ff0129f9736a96e0f280b53b1b63edfb516",
+    (243, "text"):
+        "483ddad0d8df69a87ca22a2d26746b94dad501551ba2c3a9501de7b9f89473cd",
+    (243, "json"):
+        "5cd157f51463553f3212725882832eac12c6e631be4f27fe55de7f3df6628530",
+    (243, "csv"):
+        "4a97635d0a6c96eaa32c0acd4f630e93c880cea9513f84a768a596f4de5e98cd",
+    (360, "text"):
+        "dc43e0e95f43c6edf43f1fa32d2e422b81bd65c09427b2cbb328459527859963",
+    (360, "json"):
+        "19fe9dc461712dcc1aff5740ef71c3d2d29459a676c45ba8d168d6eb5d3a979b",
+    (360, "csv"):
+        "6a73f9317ea12bd9aa378f49ddafa5369afdaa30806f7faa6a0b6db356ddb9a0",
+    (1024, "text"):
+        "cbc64597f45c9d25e5ffba7ca7153780a747108cd7b269be37d4289008ace6c1",
+    (1024, "json"):
+        "eea189d619adb8356ff44cd45310aec2d4d11c7ab5b42f66aef994e11de30b10",
+    (1024, "csv"):
+        "6f8a91c859ff8383dd155846bc023a9feef804542180c019e2ed27b4a6b86d26",
+}
+
+
+@pytest.mark.parametrize("n, fmt", ALL_DIGESTS)
+def test_monomial_all_is_pinned(capsys, n, fmt):
+    code, out, _ = run_cli(capsys, "monomial", str(n), "--all",
+                           "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ALL_DIGESTS[n, fmt]

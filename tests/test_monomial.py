@@ -2,8 +2,10 @@ from itertools import product
 
 import pytest
 
+from cwlab import monomial
 from cwlab.errors import InternalCheckError, UsageError
 from cwlab.monomial import (
+    _walk,
     Decomposition,
     Exhausted,
     ZeroExcluded,
@@ -341,7 +343,8 @@ def test_classify_reports_are_consistent():
 
 
 def test_classify_agrees_with_single_k_functions():
-    for n in range(2, 151):
+    # the longer walks exercise the mirrored half of the table
+    for n in [*range(2, 151), 243, 256, 360, 1024]:
         for report in classify_monomials(n):
             k, certificate = report.k, report.certificate
             reducible, single = is_reducible_monomial(n, k)
@@ -360,6 +363,31 @@ def test_negated_residue_has_same_verdict_and_size():
             assert h_pos == h_neg
             assert is_reducible_monomial(n, k)[0] == \
                 is_reducible_monomial(n, -k % n)[0]
+
+
+def test_walk_of_negated_residue_is_the_mirror():
+    # E(-k) = -J E(k) J gives c_j(-k) = (-1)**j c_j(k); N = 2 is left out,
+    # since 1 = -1 there and every sign reads +1
+    for n in range(3, 201):
+        cap = size_cap(n)
+        for k in range(n):
+            h, sign, split = _walk(n, k, cap)
+            mirror = split and (split[0], -split[1] % n)
+            assert _walk(n, -k % n, cap) == (h, (-1) ** h * sign, mirror), \
+                (n, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 11, 16])
+def test_classify_walks_each_pair_once(monkeypatch, n):
+    calls = []
+
+    def counting_walk(*args):
+        calls.append(args)
+        return _walk(*args)
+
+    monkeypatch.setattr(monomial, "_walk", counting_walk)
+    classify_monomials(n)
+    assert len(calls) == n // 2 + 1
 
 
 def test_unreduced_integers_act_as_their_residue():
