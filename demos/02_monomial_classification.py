@@ -21,8 +21,9 @@ for n in (16, 27):
     print(f"irreducible count: {count}   (phi({n}) = {euler_phi(n)})")
     print()
 
-# The certificates are verified objects, not strings: a decomposition knows
-# its summands and re-checks them on construction.
+# The certificates are verified objects, not strings: a decomposition stores
+# its claim (k, size, j, x), re-checks it on construction and derives its
+# summands from it.
 report = monomial_report(10, 3)
 certificate = report.certificate
 print(f"N=10, k=3 reducible: {not report.irreducible}")

@@ -13,8 +13,8 @@ target as a sum forces a right summand (a, k, ..., k, b) of length j + 2
 with E(b) E(k)**j E(a) = +/-Id, and `ring._closing_pair` of E(k)**j solves
 that: a solution exists exactly when c_j = +/-1, and then
 a = b = x = c_j c_{j-1} is unique and a root of x(x - k) = 0 mod N.  The
-decision is certified: either a verified decomposition, or the claim that
-no (length, root) candidate is a solution, which anyone can recompute.
+decision is certified by a claim anyone can recheck: the split (k, size,
+j, x), or that no (length, root) candidate is a solution.
 The roots of x(x - k) come in closed form per prime power of N, combined by
 the Chinese remainder theorem.  The unstructured search in the bruteforce
 module cross-checks this logic.
@@ -31,8 +31,9 @@ from math import gcd
 
 from ._record import Record
 from .errors import InternalCheckError, UsageError, VerificationError
-from .ring import Mat2, Modulus, as_modulus, elementary, mat_pow
-from .words import Word, is_solution, oplus
+from .ring import (Mat2, Modulus, as_modulus, elementary, mat_pow,
+                   _closing_pair, _fold, _residue)
+from .words import Word, is_solution
 
 
 def size_cap(modulus: "Modulus | int") -> int:
@@ -82,7 +83,7 @@ def minimal_monomial_size(modulus: "Modulus | int",
     """Smallest h >= 1 with E(k)**h = +/-Id, and the sign attained there:
     the first j with c_{j-1} = 0 and c_j = +/-1 on the continuant walk."""
     m = as_modulus(modulus)
-    h, sign, _ = _walk(m.n, k % m.n, size_cap(m))
+    h, sign, _ = _walk(m.n, _residue(k, m.n), size_cap(m))
     return h, sign
 
 
@@ -95,7 +96,7 @@ def closed_form_size(modulus: "Modulus | int", k: int) -> int | None:
     does not apply and None is returned; the iterative search still works.
     """
     m = as_modulus(modulus)
-    kv = k % m.n
+    kv = _residue(k, m.n)
     for p, _ in m.factors:
         if kv % p:
             return None
@@ -131,7 +132,7 @@ def quadratic_roots(modulus: "Modulus | int", k: int) -> QuadraticRoots:
     remainder theorem, in O(sqrt(N) + #roots).
     """
     m = as_modulus(modulus)
-    kv = k % m.n
+    kv = _residue(k, m.n)
     roots, step = [0], 1
     for p, a in m.factors:
         q = p ** a
@@ -226,37 +227,47 @@ def power_matrix_identity(n: int, a: int) -> Mat2:
 
 
 class Decomposition(Record):
-    """A verified split of the target into left (+) right.
+    """The claim that the all-k target of length `size` is left (+) right,
+    where right = (x, k, ..., k, x) has length j + 2 and left, with k - x at
+    both ends, has length size - j; the three words are derived on demand.
 
-    Construction re-checks everything the split claims, in O(h): both
-    summands have length >= 3, the right summand is a solution, and the sum
-    equals the target.  The left summand is then a solution by sum
-    stability.  A certificate therefore cannot exist unverified.  The
-    target is constant, so its only arrangement is itself and the sum always
-    reproduces it exactly.
-    """
+    Construction checks, in O(j), the two parts that can fail: both summands
+    have length >= 3, and (x, x) closes E(k)**j, so right is a solution.
+    Left is then one by sum stability, and left (+) right is the constant
+    target exactly, since (k - x) + x = k."""
 
-    __slots__ = ("target", "left", "right")
+    __slots__ = ("modulus", "k", "size", "j", "x")
 
     variant = "decomposition"
     rotation_note = "left (+) right reproduces the all-k target exactly"
 
-    def __init__(self, target: Word, left: Word, right: Word):
-        if len(left) < 3 or len(right) < 3:
-            raise InternalCheckError("decomposition summand shorter than 3")
-        if is_solution(right) is None:
-            raise InternalCheckError(
-                f"right summand {right!r} is not a solution")
-        if oplus(left, right) != target:
-            raise InternalCheckError(
-                f"{left!r} (+) {right!r} is not {target!r}")
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    def __init__(self, modulus: Modulus, k: int, size: int, j: int, x: int):
+        if not 1 <= j <= size - 3:
+            raise InternalCheckError(f"summand shorter than 3 at j={j}")
+        if _closing_pair(_fold((k,) * j, modulus.n), modulus.n) != (x, x):
+            raise InternalCheckError(f"x={x} does not close E({k})**{j}")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "x", x)
+
+    @property
+    def target(self) -> Word:
+        return Word((self.k,) * self.size, self.modulus)
+
+    @property
+    def left(self) -> Word:
+        k, y = self.k, (self.k - self.x) % self.modulus.n
+        return Word((y, *(k,) * (self.size - self.j - 2), y), self.modulus)
+
+    @property
+    def right(self) -> Word:
+        return Word((self.x, *(self.k,) * self.j, self.x), self.modulus)
 
     def summary(self) -> str:
-        return (f"splits as {len(self.left)}+{len(self.right)} with "
-                f"boundaries {self.left[0]}/{self.right[0]}")
+        return (f"splits as {self.size - self.j}+{self.j + 2} with "
+                f"boundaries {(self.k - self.x) % self.modulus.n}/{self.x}")
 
 
 class Exhausted(Record):
@@ -322,11 +333,7 @@ def _report(m: Modulus, kv: int, h: int, sign: int, split, roots=None
     if kv == 0:
         certificate = ZeroExcluded()
     elif split is not None:
-        j, x = split
-        y = (kv - x) % m.n
-        certificate = Decomposition(Word((kv,) * h, m),
-                                    Word((y,) + (kv,) * (h - j - 2) + (y,), m),
-                                    Word((x,) + (kv,) * j + (x,), m))
+        certificate = Decomposition(m, kv, h, *split)
     else:
         certificate = Exhausted(h, (roots or quadratic_roots(m, kv)).roots)
     return MonomialReport(m, kv, h, sign, isinstance(certificate, Exhausted),
@@ -346,7 +353,7 @@ def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
     with a sentinel certificate.
     """
     m = as_modulus(modulus)
-    kv = k % m.n
+    kv = _residue(k, m.n)
     return _report(m, kv, *_walk(m.n, kv, size_cap(m)))
 
 

@@ -41,6 +41,13 @@ def as_modulus(m: "Modulus | int") -> Modulus:
     return m if isinstance(m, Modulus) else Modulus(m)
 
 
+def _residue(k, n: int) -> int:
+    """k reduced mod n; anything but an int is a usage error."""
+    if not isinstance(k, int):
+        raise UsageError(f"residue must be an integer, got {k!r}")
+    return k % n
+
+
 def _same_modulus(a: Modulus, b: Modulus) -> Modulus:
     if a.n != b.n:
         raise ModulusMismatchError(f"mixed moduli {a.n} and {b.n}")
@@ -100,7 +107,7 @@ def elementary(k: int, modulus: "Modulus | int") -> Mat2:
     """The matrix [[k, -1], [1, 0]], k reduced mod N; the single letter of
     every word product."""
     m = as_modulus(modulus)
-    return Mat2(k % m.n, -1 % m.n, 1 % m.n, 0, m)
+    return Mat2(_residue(k, m.n), -1 % m.n, 1 % m.n, 0, m)
 
 
 def _mul(a: tuple[int, int, int, int], b: tuple[int, int, int, int],

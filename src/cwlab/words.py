@@ -15,7 +15,8 @@ from collections.abc import Iterator
 
 from ._record import Record
 from .errors import UsageError
-from .ring import Mat2, Modulus, as_modulus, _fold, _pm_sign, _same_modulus
+from .ring import (Mat2, Modulus, as_modulus, _fold, _pm_sign, _residue,
+                   _same_modulus)
 
 
 class Word(Record):
@@ -50,7 +51,7 @@ class Word(Record):
 def word(values, modulus: "Modulus | int") -> Word:
     """Build a Word from arbitrary integers, reducing mod N."""
     m = as_modulus(modulus)
-    return Word(tuple(v % m.n for v in values), m)
+    return Word(tuple(_residue(v, m.n) for v in values), m)
 
 
 def parse_word(text: str, modulus: "Modulus | int") -> Word:

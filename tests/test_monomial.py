@@ -278,6 +278,23 @@ def test_reducibility_witness_for_ten_three():
     assert equivalent(total, word([3] * 15, 10))
 
 
+NON_INTEGER_ENTRY_POINTS = {
+    "word": lambda k: word([k, 2], 5),
+    "elementary": lambda k: elementary(k, 7),
+    "monomial_report": lambda k: monomial_report(10, k),
+    "minimal_monomial_size": lambda k: minimal_monomial_size(10, k),
+    "quadratic_roots": lambda k: quadratic_roots(10, k),
+    "closed_form_size": lambda k: closed_form_size(10, k),
+}
+
+
+@pytest.mark.parametrize("k", [2.5, "3"])
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_ENTRY_POINTS))
+def test_non_integer_residue_is_a_usage_error(name, k):
+    with pytest.raises(UsageError, match="residue must be an integer"):
+        NON_INTEGER_ENTRY_POINTS[name](k)
+
+
 def test_zero_monomial_is_not_irreducible():
     for n in (2, 5, 12):
         reducible, certificate = is_reducible_monomial(n, 0)
@@ -287,14 +304,37 @@ def test_zero_monomial_is_not_irreducible():
 
 def test_decomposition_certificate_rejects_bad_data():
     m = Modulus(9)
-    target = word([3] * 6, m)
-    with pytest.raises(InternalCheckError):
-        Decomposition(target, word([1, 2, 3], m), word([1, 2, 3], m))
-    with pytest.raises(InternalCheckError):
-        Decomposition(target, word([6, 3], m), word([6, 3, 3, 6], m))
-    with pytest.raises(InternalCheckError):
-        Decomposition(target, word([3, 3, 3, 3], m), word([6, 3, 3, 6], m))
-    Decomposition(target, word([6, 3, 3, 6], m), word([6, 3, 3, 6], m))
+    # (j, x) = (0, 0) and (4, 3) close E(3)**j, but leave a summand of
+    # length 2; x = 1 does not close E(3)**2
+    for j, x in ((0, 0), (4, 3), (2, 1)):
+        with pytest.raises(InternalCheckError):
+            Decomposition(m, 3, 6, j, x)
+    certificate = Decomposition(m, 3, 6, 2, 6)
+    assert certificate.target == word([3] * 6, m)
+    assert certificate.left == certificate.right == word([6, 3, 3, 6], m)
+
+
+def _assert_decomposition_holds(report):
+    """Oracle for the check the constructor leaves out: the derived words
+    are solutions of length >= 3 that sum to the all-k target."""
+    certificate = report.certificate
+    left, right = certificate.left, certificate.right
+    assert len(left) >= 3 and len(right) >= 3
+    assert is_solution(left) is not None and is_solution(right) is not None
+    assert oplus(left, right) == certificate.target == \
+        word([report.k] * report.size, report.modulus.n)
+    # the record holds its claim (k, size, j, x) as plain ints, never a word
+    assert (certificate.k, certificate.size) == (report.k, report.size)
+    assert [type(v) for v in certificate._values()] == [Modulus] + [int] * 4
+
+
+def test_decompositions_sum_to_their_target():
+    for n in range(2, 201):
+        reducible = [r for r in classify_monomials(n)
+                     if isinstance(r.certificate, Decomposition)]
+        for report in reducible:
+            _assert_decomposition_holds(report)
+            _assert_decomposition_holds(monomial_report(n, report.k))
 
 
 def test_reducibility_agrees_with_candidate_scan_oracle():

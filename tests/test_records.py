@@ -48,8 +48,7 @@ RECORDS = {
         "QuadraticRoots(modulus=Modulus(12), k=4, roots=(0, 4, 6, 10))"),
     "Decomposition": (
         lambda: monomial_report(9, 3).certificate,
-        "Decomposition(target=Word(3,3,3,3,3,3 mod 9), "
-        "left=Word(6,3,3,6 mod 9), right=Word(6,3,3,6 mod 9))"),
+        "Decomposition(modulus=Modulus(9), k=3, size=6, j=2, x=6)"),
     "Exhausted": (
         lambda: monomial_report(5, 2).certificate,
         "Exhausted(size=5, roots=(0, 2))"),
