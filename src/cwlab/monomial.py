@@ -21,8 +21,9 @@ module cross-checks this logic.
 
 The table over all k walks each pair {k, N - k} once, by the mirror map:
 E(-k) = -J E(k) J with J = diag(1, -1), so c_j(-k) = (-1)**j c_j(k) and -k
-has k's h and split index, sign (-1)**h times k's and boundary -x; and
-x(x - k) = 0 exactly when (-x)(-x + k) = 0, so -k's roots are k's negated.
+has k's h and split index, sign (-1)**h times k's and boundary -x.  Its
+roots come from one sweep over x: with g = gcd(x, N), x/g is a unit mod N/g,
+so x(x - k) = 0 exactly when N/g divides x - k.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import gcd
 from ._record import Record
 from .errors import InternalCheckError, UsageError, VerificationError
 from .ring import (Mat2, Modulus, as_modulus, elementary, mat_pow,
-                   _closing_pair, _fold, _residue)
+                   _closing_pair, _pow, _residue)
 from .words import Word, is_solution
 
 
@@ -231,10 +232,10 @@ class Decomposition(Record):
     where right = (x, k, ..., k, x) has length j + 2 and left, with k - x at
     both ends, has length size - j; the three words are derived on demand.
 
-    Construction checks, in O(j), the two parts that can fail: both summands
-    have length >= 3, and (x, x) closes E(k)**j, so right is a solution.
-    Left is then one by sum stability, and left (+) right is the constant
-    target exactly, since (k - x) + x = k."""
+    Construction checks, in O(log j), the two parts that can fail: both
+    summands have length >= 3, and (x, x) closes E(k)**j, so right is a
+    solution.  Left is then one by sum stability, and left (+) right is the
+    constant target exactly, since (k - x) + x = k."""
 
     __slots__ = ("modulus", "k", "size", "j", "x")
 
@@ -244,7 +245,8 @@ class Decomposition(Record):
     def __init__(self, modulus: Modulus, k: int, size: int, j: int, x: int):
         if not 1 <= j <= size - 3:
             raise InternalCheckError(f"summand shorter than 3 at j={j}")
-        if _closing_pair(_fold((k,) * j, modulus.n), modulus.n) != (x, x):
+        n = modulus.n
+        if _closing_pair(_pow((k, -1 % n, 1 % n, 0), j, n), n) != (x, x):
             raise InternalCheckError(f"x={x} does not close E({k})**{j}")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "k", k)
@@ -327,15 +329,18 @@ class MonomialReport(Record):
         object.__setattr__(self, "certificate", certificate)
 
 
-def _report(m: Modulus, kv: int, h: int, sign: int, split, roots=None
+def _report(m: Modulus, kv: int, h: int, sign: int, split, table=None
             ) -> MonomialReport:
-    """kv's report from its walk; roots, if given, are kv's QuadraticRoots."""
+    """kv's report from its walk; table, if given, lists kv's roots in row
+    kv, ascending."""
     if kv == 0:
         certificate = ZeroExcluded()
     elif split is not None:
         certificate = Decomposition(m, kv, h, *split)
     else:
-        certificate = Exhausted(h, (roots or quadratic_roots(m, kv)).roots)
+        roots = (quadratic_roots(m, kv) if table is None
+                 else QuadraticRoots(m, kv, tuple(table[kv])))
+        certificate = Exhausted(h, roots.roots)
     return MonomialReport(m, kv, h, sign, isinstance(certificate, Exhausted),
                           certificate)
 
@@ -385,8 +390,10 @@ def classify_monomials(modulus: "Modulus | int") -> list[MonomialReport]:
     """One report per k in [0, N), ordered by k.
 
     Only k <= N // 2 is walked.  N - k gets k's h and split index, the sign
-    times (-1)**h, boundary -x and negated roots, since E(-k) = -J E(k) J and
-    x(x - k) = 0 exactly when (-x)(-x + k) = 0; its certificate checks itself.
+    times (-1)**h and boundary -x, since E(-k) = -J E(k) J; its certificate
+    checks itself.  Every root set is read from one table, built by a sweep
+    over x that puts x in the rows k = x mod N/gcd(x, N); its size is the
+    sum over x of gcd(x, N), 921,375 entries at N = 30030.
 
     Over a prime power the computed verdicts are cross-checked against the
     closed-form irreducibility rule; any disagreement raises, since it would
@@ -394,17 +401,19 @@ def classify_monomials(modulus: "Modulus | int") -> list[MonomialReport]:
     """
     m = as_modulus(modulus)
     n, cap = m.n, size_cap(m)
+    table = [[] for _ in range(n)]
+    for x in range(n):
+        step = n // gcd(x, n)
+        for k in range(x % step, n, step):
+            table[k].append(x)
     reports = [None] * n
     for k in range(n // 2 + 1):
         h, sign, split = _walk(n, k, cap)
-        reports[k] = report = _report(m, k, h, sign, split)
+        reports[k] = _report(m, k, h, sign, split, table)
         if 0 < k < n - k:
-            roots = (QuadraticRoots(m, n - k, tuple(sorted(
-                -x % n for x in report.certificate.roots)))
-                if report.irreducible else None)
             reports[n - k] = _report(m, n - k, h, (-1) ** h * sign,
                                      split and (split[0], -split[1] % n),
-                                     roots)
+                                     table)
     if len(m.factors) == 1:
         p, exponent = m.factors[0]
         for report in reports:

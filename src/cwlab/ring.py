@@ -4,8 +4,9 @@ Residues are plain ints reduced mod N to their least nonnegative
 representatives.  All values are immutable and every operation is pure, so
 everything in this module is safe to share between threads.  The private
 kernels work on (m11, m12, m21, m22) tuples: `_mul` multiplies two of them,
-`_fold` multiplies out the letters of a word, and `_closing_pair` finds the
-boundary letters that close a product into +/-Id.
+`_pow` raises one to a power, `_fold` multiplies out the letters of a word,
+and `_closing_pair` finds the boundary letters that close a product into
++/-Id.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ def as_modulus(m: "Modulus | int") -> Modulus:
 
 
 def _residue(k, n: int) -> int:
-    """k reduced mod n; anything but an int is a usage error."""
-    if not isinstance(k, int):
+    """k reduced mod n; anything but an int (a bool too) is a usage error."""
+    if not isinstance(k, int) or isinstance(k, bool):
         raise UsageError(f"residue must be an integer, got {k!r}")
     return k % n
 
@@ -169,20 +170,24 @@ def mat_mul(a: Mat2, b: Mat2) -> Mat2:
     return Mat2(*_mul(a.entries(), b.entries(), m.n), m)
 
 
-def mat_pow(a: Mat2, e: int) -> Mat2:
-    """a**e for e >= 0 by square-and-multiply; mat_pow(a, 0) is the identity."""
-    if not isinstance(e, int) or e < 0:
-        raise UsageError(f"exponent must be an integer >= 0, got {e!r}")
-    n = a.modulus.n
+def _pow(a: tuple[int, int, int, int], e: int, n: int
+         ) -> tuple[int, int, int, int]:
+    """a**e mod n for e >= 0 by square-and-multiply, as a raw tuple."""
     result = (1 % n, 0, 0, 1 % n)
-    base = a.entries()
     while e:
         if e & 1:
-            result = _mul(result, base, n)
+            result = _mul(result, a, n)
         e >>= 1
         if e:
-            base = _mul(base, base, n)
-    return Mat2(*result, a.modulus)
+            a = _mul(a, a, n)
+    return result
+
+
+def mat_pow(a: Mat2, e: int) -> Mat2:
+    """a**e for e >= 0 by square-and-multiply; mat_pow(a, 0) is the identity."""
+    if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+        raise UsageError(f"exponent must be an integer >= 0, got {e!r}")
+    return Mat2(*_pow(a.entries(), e, a.modulus.n), a.modulus)
 
 
 def is_pm_identity(m: Mat2) -> int | None:

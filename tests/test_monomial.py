@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -22,7 +23,7 @@ from cwlab.monomial import (
     two_boundary_word,
 )
 from cwlab.ring import (Modulus, elementary, identity, is_pm_identity, mat_mul,
-                        _mul, _pm_sign)
+                        mat_pow, _mul, _pm_sign)
 from cwlab.verification import (
     check_boundary_rigidity,
     check_closed_form_agreement,
@@ -285,13 +286,15 @@ NON_INTEGER_ENTRY_POINTS = {
     "minimal_monomial_size": lambda k: minimal_monomial_size(10, k),
     "quadratic_roots": lambda k: quadratic_roots(10, k),
     "closed_form_size": lambda k: closed_form_size(10, k),
+    "mat_pow": lambda e: mat_pow(elementary(3, 10), e),
 }
 
 
-@pytest.mark.parametrize("k", [2.5, "3"])
+@pytest.mark.parametrize("k", [2.5, "3", True])
 @pytest.mark.parametrize("name", sorted(NON_INTEGER_ENTRY_POINTS))
 def test_non_integer_residue_is_a_usage_error(name, k):
-    with pytest.raises(UsageError, match="residue must be an integer"):
+    what = "exponent" if name == "mat_pow" else "residue"
+    with pytest.raises(UsageError, match=f"{what} must be an integer"):
         NON_INTEGER_ENTRY_POINTS[name](k)
 
 
@@ -312,6 +315,19 @@ def test_decomposition_certificate_rejects_bad_data():
     certificate = Decomposition(m, 3, 6, 2, 6)
     assert certificate.target == word([3] * 6, m)
     assert certificate.left == certificate.right == word([6, 3, 3, 6], m)
+
+
+def test_decomposition_check_is_logarithmic_in_j():
+    # N = 2**31 - 70, k = 3: c_j = -1 at j = 268435447 of h = 805306341,
+    # a split whose summands no word can hold
+    m = Modulus(2147483578)
+    start = time.perf_counter()
+    certificate = Decomposition(m, 3, 805306341, 268435447, 1073741789)
+    assert time.perf_counter() - start < 1
+    assert certificate.summary() == \
+        "splits as 536870894+268435449 with boundaries 1073741792/1073741789"
+    with pytest.raises(InternalCheckError):
+        Decomposition(m, 3, 805306341, 268435447, 1073741790)
 
 
 def _assert_decomposition_holds(report):
@@ -428,6 +444,29 @@ def test_classify_walks_each_pair_once(monkeypatch, n):
     monkeypatch.setattr(monomial, "_walk", counting_walk)
     classify_monomials(n)
     assert len(calls) == n // 2 + 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 11, 16, 360])
+def test_classify_reads_roots_from_its_table(monkeypatch, n):
+    calls = []
+
+    def counting_roots(*args):
+        calls.append(args)
+        return quadratic_roots(*args)
+
+    monkeypatch.setattr(monomial, "quadratic_roots", counting_roots)
+    classify_monomials(n)
+    assert calls == []
+
+
+def test_classify_roots_match_both_root_finders():
+    for n in [*range(2, 401), 1024, 2310, 4096]:
+        for report in classify_monomials(n):
+            if report.irreducible:
+                roots = report.certificate.roots
+                assert roots == roots_oracle(n, report.k), (n, report.k)
+                assert roots == quadratic_roots(n, report.k).roots, \
+                    (n, report.k)
 
 
 def test_unreduced_integers_act_as_their_residue():
