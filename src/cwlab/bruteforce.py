@@ -41,10 +41,11 @@ class EnumerationQuery(Record):
     def __init__(self, modulus: "Modulus | int", size: int,
                  dedup: bool = False, count_only: bool = False,
                  budget: int = DEFAULT_BUDGET):
-        if size < 1:
-            raise UsageError(f"size must be >= 1, got {size}")
-        if budget < 1:
-            raise UsageError(f"budget must be >= 1, got {budget}")
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+            raise UsageError(f"size must be an integer >= 1, got {size!r}")
+        if (not isinstance(budget, int) or isinstance(budget, bool)
+                or budget < 1):
+            raise UsageError(f"budget must be an integer >= 1, got {budget!r}")
         object.__setattr__(self, "modulus", as_modulus(modulus))
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "dedup", dedup)
@@ -54,19 +55,23 @@ class EnumerationQuery(Record):
 
 class Census(Record):
     """Result of an enumeration: the raw solution count and, unless
-    count_only was set, the solution words (canonical representatives,
-    pairwise inequivalent, when dedup was set; otherwise every solution in
-    scan order)."""
+    count_only was set, the solutions as value tuples (canonical
+    representatives, pairwise inequivalent, when dedup was set; otherwise
+    every solution in scan order).  `words` builds their `Word`s on demand."""
 
-    __slots__ = ("modulus", "size", "total", "dedup", "words")
+    __slots__ = ("modulus", "size", "total", "dedup", "values")
 
     def __init__(self, modulus: Modulus, size: int, total: int, dedup: bool,
-                 words: tuple[Word, ...] = ()):
+                 values: tuple[tuple[int, ...], ...] = ()):
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "dedup", dedup)
-        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        return tuple(Word(v, self.modulus) for v in self.values)
 
 
 def _check_budget(n: int, exponent: int, budget: int) -> None:
@@ -114,7 +119,8 @@ def _solutions(n: int, size: int):
 
 
 def enumerate_solutions(query: EnumerationQuery) -> Census:
-    """Every solution of the query's size, from one scan of `_solutions`.
+    """Every solution of the query's size, from one scan of `_solutions`,
+    kept as the value tuples the scan yields (no `Word` is built).
 
     Under dedup, the first member v of a class met by the scan is kept and
     its other arrangements (the rotations of v and of its reversal) wait in
@@ -146,8 +152,7 @@ def enumerate_solutions(query: EnumerationQuery) -> Census:
             found.append(v)
             pending.update(_arrangements(v))
             pending.discard(v)
-    return Census(m, size, total, query.dedup,
-                  tuple(Word(v, m) for v in found))
+    return Census(m, size, total, query.dedup, tuple(found))
 
 
 def is_reducible_oracle(w: Word):

@@ -180,14 +180,13 @@ def cmd_enumerate(args) -> int:
                              count_only=args.count_only,
                              budget=_budget_from_env())
     census = enumerate_solutions(query)
-    rows = [w.values for w in census.words]
     lines = [f"N={modulus.n} size={census.size}: {census.total} solutions"
              + (" (canonical representatives)" if census.dedup else "")]
-    lines.extend(_word_str(row) for row in rows)
+    lines.extend(_word_str(row) for row in census.values)
     payload = {"N": modulus.n, "n": census.size, "total": census.total,
-               "dedup": census.dedup, "representatives": rows}
+               "dedup": census.dedup, "representatives": census.values}
     _emit(args, "\n".join(lines) + "\n", payload,
-          [f"a{i + 1}" for i in range(census.size)], rows)
+          [f"a{i + 1}" for i in range(census.size)], census.values)
     return 0
 
 

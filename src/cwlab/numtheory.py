@@ -66,6 +66,10 @@ def binomial_valuation(top: int, j: int, base: int) -> int:
     is min_i floor(v_{p_i} / e_i), the unique e with base**e dividing the
     coefficient but base**(e+1) not.  C(top, j) itself is never materialized.
     """
+    for name, v in (("top", top), ("j", j)):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise UsageError(f"binomial_valuation expects an integer {name}, "
+                             f"got {v!r}")
     if not (0 <= j <= top):
         raise UsageError(f"binomial_valuation expects 0 <= j <= top, "
                          f"got top={top}, j={j}")

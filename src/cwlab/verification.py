@@ -16,7 +16,7 @@ import math
 from itertools import product
 
 from ._record import Record
-from .bruteforce import (DEFAULT_BUDGET, _check_budget, _solutions,
+from .bruteforce import (EnumerationQuery, enumerate_solutions,
                          is_reducible_oracle)
 from .errors import InternalCheckError, UsageError, VerificationError
 from .monomial import (
@@ -58,8 +58,7 @@ def _outcome(name: str, failures: list[str], ok_detail: str) -> CheckOutcome:
 
 
 def _census_set(n: int, size: int) -> set[tuple[int, ...]]:
-    _check_budget(n, size - 2, DEFAULT_BUDGET)
-    return set(_solutions(n, size))
+    return set(enumerate_solutions(EnumerationQuery(n, size)).values)
 
 
 def check_catalog_size_2(n: int) -> CheckOutcome:
@@ -270,7 +269,8 @@ def check_sum_stability(n: int) -> CheckOutcome:
 
     Decided on value tuples through the kernels behind `is_solution` and
     `oplus`."""
-    solutions = [v for size in (2, 3, 4) for v in _solutions(n, size)]
+    solutions = [v for size in (2, 3, 4)
+                 for v in enumerate_solutions(EnumerationQuery(n, size)).values]
     words = [(a, _pm_sign(_fold(a, n), n) is None) for length in (2, 3)
              for a in _all_values(n, length)]
     failures = []

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cwlab import bruteforce
 from cwlab.bruteforce import (
     EnumerationQuery,
     _check_budget,
@@ -64,6 +65,25 @@ def test_census_dedup():
     raw = enumerate_solutions(EnumerationQuery(Modulus(6), 4))
     assert census.total == raw.total
     assert len(reps) < raw.total
+
+
+def test_census_builds_no_word(monkeypatch):
+    built = []
+
+    def counting_word(*args):
+        built.append(args)
+        return Word(*args)
+
+    monkeypatch.setattr(bruteforce, "Word", counting_word)
+    for n in range(2, 8):
+        for size in range(2, 7):
+            for dedup in (False, True):
+                query = EnumerationQuery(n, size, dedup=dedup)
+                census = enumerate_solutions(query)
+                assert built == [], (n, size, dedup)
+                assert census.words == tuple(word(v, n)
+                                             for v in census.values)
+                built.clear()
 
 
 def test_census_count_only():
@@ -204,6 +224,13 @@ def test_query_validation():
         EnumerationQuery(Modulus(5), 0)
     with pytest.raises(UsageError):
         EnumerationQuery(Modulus(5), 3, budget=0)
+
+
+@pytest.mark.parametrize("size, budget", [
+    (3.0, 100), (True, 100), (3, 2.5), (3, True), (3, 1e8)])
+def test_query_refuses_non_integer_arguments(size, budget):
+    with pytest.raises(UsageError):
+        EnumerationQuery(Modulus(5), size, budget=budget)
 
 
 def test_query_accepts_an_int_modulus():

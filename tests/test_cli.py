@@ -246,6 +246,57 @@ def test_enumerate_text_json_csv(capsys):
     assert out.splitlines()[1:] == ["1,1,1", "4,4,4"]
 
 
+#: sha256 of `cwl enumerate N n` stdout, plain and with --dedup; the rows are
+#: the census's value tuples in scan order, and these pin them byte for byte.
+ENUMERATE_DIGESTS = {
+    (5, 5, False, "text"):
+        "fe39b34ae56c041b3e881350d8acc3ef27004c6a78d715f40231067aae034f8c",
+    (5, 5, False, "json"):
+        "c4844f8b5ffb5e230f239153c07fc67ecb5eb40900b591ac51662a331aaeaf30",
+    (5, 5, False, "csv"):
+        "81c6f34f865ad1d1fa96d3f19782630b7af7ae4e064ab9b7c53d42cfe431ed10",
+    (5, 5, True, "text"):
+        "06ba956ab6fb5612b1c6c108ff14787c6bedc29ef053f15b8d4adb37701f3c7b",
+    (5, 5, True, "json"):
+        "0e8e059950a332aa864817ac67e6556264fdf90e4c996ef4fae451fd691f4f56",
+    (5, 5, True, "csv"):
+        "c6c370a0dc4f49900bb054e80a42835d8c90d39da06bbfd7e23ce48899ca8c74",
+    (6, 4, False, "text"):
+        "624ca2785cf73648243131123e6e6c8d218d460ac45c15a5c2fcb5a065c8ce68",
+    (6, 4, False, "json"):
+        "e87b8012b924689c64c0bb8b71f8ccc6b3c697e00abfb19b68f964db9aeeff33",
+    (6, 4, False, "csv"):
+        "3c79eb60f60b7ece8abb521c3e623381ab790bf8656e0ceb4ce7c7b439390fd3",
+    (6, 4, True, "text"):
+        "13fc52e32ed7f9cf8736a4c4c0ab92104aba8c491be6cdb931fd5cdadab03e25",
+    (6, 4, True, "json"):
+        "e78ae12da3b65bb2e7b00c43fa6e103ca5af406184c3c6a06d5b14b2d36bf199",
+    (6, 4, True, "csv"):
+        "3b7f8b3c47b51c476e6f4a7729dc5ea92fce31d2255a1fa9cd0c62de5a721d69",
+    (7, 5, False, "text"):
+        "f0cb4398f59c75a4d27a2949c14373e19bf0be03a3cb68bc80830e4afe7303e5",
+    (7, 5, False, "json"):
+        "d7043ecd410e6ae504de0ca78f8f3272dd24030929b5f98136f3beb885682cbd",
+    (7, 5, False, "csv"):
+        "12f447408fe11ea28b73d58b1e373a3d8e07272931e611b8de0cfdd0451fcef5",
+    (7, 5, True, "text"):
+        "44a55a08f63f5bd12525f11a94a756902e60f7a47e79f44bd89be49eb4607778",
+    (7, 5, True, "json"):
+        "715992f2a70b00367c21c1956238c440c8044d995b234abacb25cfde8a6e391f",
+    (7, 5, True, "csv"):
+        "048e7771c4715d12bd32edcade5c26302777593cd0bcb213bd40ef8d82ac5624",
+}
+
+
+@pytest.mark.parametrize("n, size, dedup, fmt", ENUMERATE_DIGESTS)
+def test_enumerate_is_pinned(capsys, n, size, dedup, fmt):
+    argv = ["enumerate", str(n), str(size), "--format", fmt]
+    code, out, _ = run_cli(capsys, *argv, *(["--dedup"] if dedup else []))
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == ENUMERATE_DIGESTS[n, size, dedup, fmt]
+
+
 def test_enumerate_count_only_and_dedup(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "6", "4", "--count-only",
                            "--format", "json")

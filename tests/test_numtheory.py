@@ -52,6 +52,13 @@ def test_euler_phi_matches_unit_count():
         assert euler_phi(v) == units
 
 
+@pytest.mark.parametrize("top, j", [
+    (6.5, 3), (6, 3.0), (6, True), (True, 0), (6.0, 2.0)])
+def test_binomial_valuation_refuses_non_integers(top, j):
+    with pytest.raises(UsageError):
+        binomial_valuation(top, j, 2)
+
+
 def test_binomial_valuation_examples():
     assert math.comb(8, 3) == 56  # 2**3 * 7
     assert binomial_valuation(8, 3, 2) == 3

@@ -42,7 +42,7 @@ RECORDS = {
     "Census": (
         lambda: enumerate_solutions(EnumerationQuery(Modulus(3), 3)),
         "Census(modulus=Modulus(3), size=3, total=2, dedup=False, "
-        "words=(Word(1,1,1 mod 3), Word(2,2,2 mod 3)))"),
+        "values=((1, 1, 1), (2, 2, 2)))"),
     "QuadraticRoots": (
         lambda: quadratic_roots(12, 4),
         "QuadraticRoots(modulus=Modulus(12), k=4, roots=(0, 4, 6, 10))"),
