@@ -3,18 +3,56 @@ N and n, and an unstructured reducibility oracle that searches every
 distinct arrangement, split and boundary pair instead of trusting any
 structure.
 
-The one census scan, `_solutions`, walks the N**(n-2) prefixes of the first
+The census scan, `_solutions`, walks the N**(n-2) prefixes of the first
 n-2 letters depth-first, carrying the running matrix product so each
 extension costs one multiplication.  The last two letters are not scanned:
 the prefix's matrix either rules out every tail or forces the only one, so
 every solution is still found, in lexicographic order, and each costs one
-test.  Deduplication keeps the first member of each class met, which is its
-least arrangement by closure under arrangement (see enumerate_solutions),
-at classes * 2n arrangements plus one set lookup per solution.  The oracle
-folds each split's interior with `ring._fold` and derives its one boundary
-pair with `ring._closing_pair`, the closed form that `verify` uses, so a
-split costs O(n) products whatever N is.  Both the scan order and the
-oracle's search order are fixed, which makes output and witnesses
+test.  It assumes nothing about the solutions, so it alone serves the
+plain and count-only censuses and verify's census checks, and it is the
+tests' oracle for the dedup scan.
+
+Deduplication has its own scan, `_least_solutions`.  It keeps the same
+product stack and forced tail but walks only the prefixes that can begin
+a class's least arrangement, in the way of Fredricksen, Kessler and
+Maiorana (FKM; Cattell, Ruskey, Sawada, Serra and Miers, "Fast algorithms
+to generate necklaces, unlabeled necklaces, and irreducible polynomials
+over GF(2)", J. Algorithms 37, 2000; Sawada, "Generating bracelets in
+constant amortized time", SIAM J. Comput. 31, 2001).  A necklace is a word
+that is least among its rotations, a prenecklace a prefix of a necklace,
+and lyn(a) the length of the longest prefix of a that is a Lyndon word.
+Its correctness rests on four steps.
+
+1. The representative (least arrangement) v of a class is <= each of its
+   rotations, so it is a necklace, and every prefix of v, its
+   (n-2)-prefix among them, is a prenecklace.
+2. FKM meets every prenecklace of a given length, in lexicographic order:
+   if a_1..a_{t-1} is a prenecklace with p = lyn, then a_1..a_t is one
+   exactly when a_t >= a_{t-p}, and its lyn is p when a_t = a_{t-p} and t
+   otherwise (the fundamental theorem of necklaces, Cattell et al.).  So
+   starting letter t at a_{t-p} instead of 0 skips exactly the prefixes
+   that are not prenecklaces, and keeping p per depth costs O(1) per
+   letter.
+3. The forced tail (x, y) extends the prefix under the same rule, so at
+   the leaf the scan knows whether the whole word is a prenecklace and
+   its p = lyn; a prenecklace of length n is a necklace exactly when
+   p divides n (ibid.).  A necklace v is then its class's representative
+   exactly when v <= the least rotation r of its reversal.
+4. A necklace with p | n is (a_1..a_p)**(n/p) with a_1..a_p a Lyndon word,
+   which is primitive, so v has exactly p distinct rotations, and so has
+   its reversal.  The class is both rotation orbits: one orbit of p words
+   when v = r, two disjoint ones (2p words) when v < r, because v < r is
+   the least of the class and not a rotation of the reversal.
+
+Every arrangement of a solution is a solution (see enumerate_solutions),
+so the class sizes of the representatives sum to the raw total, and each
+representative is found once, in lexicographic order, as the plain scan
+would meet it first.
+
+The oracle folds each split's interior with `ring._fold` and derives its
+one boundary pair with `ring._closing_pair`, the closed form that `verify`
+uses, so a split costs O(n) products whatever N is.  Both scan orders and
+the oracle's search order are fixed, which makes output and witnesses
 reproducible byte for byte.
 """
 
@@ -46,6 +84,9 @@ class EnumerationQuery(Record):
         if (not isinstance(budget, int) or isinstance(budget, bool)
                 or budget < 1):
             raise UsageError(f"budget must be an integer >= 1, got {budget!r}")
+        for name, flag in (("dedup", dedup), ("count_only", count_only)):
+            if not isinstance(flag, bool):
+                raise UsageError(f"{name} must be True or False, got {flag!r}")
         object.__setattr__(self, "modulus", as_modulus(modulus))
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "dedup", dedup)
@@ -118,17 +159,71 @@ def _solutions(n: int, size: int):
         digits[pos] += 1
 
 
-def enumerate_solutions(query: EnumerationQuery) -> Census:
-    """Every solution of the query's size, from one scan of `_solutions`,
-    kept as the value tuples the scan yields (no `Word` is built).
+def _least_solutions(n: int, size: int):
+    """The least arrangement of every class of solutions of a size >= 2
+    over Z/nZ, with its class size, in lexicographic order.
 
-    Under dedup, the first member v of a class met by the scan is kept and
-    its other arrangements (the rotations of v and of its reversal) wait in
-    a pending set, so a later member costs one lookup and is removed.  The
-    kept v is the least arrangement: solutions are closed under rotation,
-    which conjugates the product by E(a_1), and under reversal, which sends
-    M to (J M J)^T with J = diag(1, -1); so every arrangement of v is a
-    solution, and the lexicographic scan meets the least one first.
+    `_solutions` restricted to the FKM prenecklace prefixes (see the module
+    docstring): a[t] is letter t (1-based; a[0] = 0 < N - 1 is the FKM
+    sentinel and stops the backtrack), period[t] is lyn(a[1..t]) and
+    prefix[t] the product of its letters.
+    """
+    prefix_len = size - 2
+    one = 1 % n
+    minus_one = -1 % n
+    prefix = [(one, 0, 0, one)] * (prefix_len + 1)
+    a = [0] * (size + 1)
+    period = [1] * (prefix_len + 1)
+    t = 0
+    while True:
+        while t < prefix_len:
+            p = period[t]
+            k = a[t + 1 - p]
+            a[t + 1] = k
+            period[t + 1] = p
+            ma, mb, mc, md = prefix[t]
+            # E(k) . [[ma, mb], [mc, md]]
+            prefix[t + 1] = ((k * ma - mc) % n, (k * mb - md) % n, ma, mb)
+            t += 1
+        ma, mb, mc, _ = prefix[prefix_len]
+        if ma == one or ma == minus_one:
+            # the forced tail, as in _solutions, under the FKM rule
+            p = period[prefix_len]
+            for t, k in ((size - 1, ma * mc % n), (size, -ma * mb % n)):
+                if k < a[t - p]:
+                    break
+                if k > a[t - p]:
+                    p = t
+                a[t] = k
+            else:
+                if size % p == 0:
+                    v = tuple(a[1:])
+                    rev = v[::-1]
+                    least = min(rev[r:] + rev[:r] for r in range(size))
+                    if v <= least:
+                        yield v, p if v == least else 2 * p
+        t = prefix_len
+        while a[t] == n - 1:
+            t -= 1
+        if t == 0:
+            return
+        k = a[t] + 1
+        a[t] = k
+        period[t] = t
+        ma, mb, mc, md = prefix[t - 1]
+        prefix[t] = ((k * ma - mc) % n, (k * mb - md) % n, ma, mb)
+
+
+def enumerate_solutions(query: EnumerationQuery) -> Census:
+    """Every solution of the query's size, kept as the value tuples the
+    scan yields (no `Word` is built).
+
+    Without dedup, and for count_only, that is one scan of `_solutions`.
+    Under dedup it is one scan of `_least_solutions`, which yields each
+    class's least arrangement with the class's size, and the total is the
+    sum of those sizes.  That needs every arrangement of a solution to be
+    a solution: rotation conjugates the product by E(a_1), and reversal
+    sends M to (J M J)^T with J = diag(1, -1), so +/-Id stays +/-Id.
     """
     m = query.modulus
     size = query.size
@@ -136,23 +231,18 @@ def enumerate_solutions(query: EnumerationQuery) -> Census:
         # E(a) has nonzero off-diagonal entries
         return Census(m, size, 0, query.dedup)
     _check_budget(m.n, size - 2, query.budget)
-    solutions = _solutions(m.n, size)
     if query.count_only:
-        return Census(m, size, sum(1 for _ in solutions), query.dedup)
+        return Census(m, size, sum(1 for _ in _solutions(m.n, size)),
+                      query.dedup)
+    if not query.dedup:
+        found = tuple(_solutions(m.n, size))
+        return Census(m, size, len(found), False, found)
     total = 0
-    found: list[tuple[int, ...]] = []
-    pending: set[tuple[int, ...]] = set()
-    for v in solutions:
-        total += 1
-        if not query.dedup:
-            found.append(v)
-        elif v in pending:
-            pending.remove(v)
-        else:
-            found.append(v)
-            pending.update(_arrangements(v))
-            pending.discard(v)
-    return Census(m, size, total, query.dedup, tuple(found))
+    found = []
+    for v, orbit in _least_solutions(m.n, size):
+        total += orbit
+        found.append(v)
+    return Census(m, size, total, True, tuple(found))
 
 
 def is_reducible_oracle(w: Word):

@@ -202,13 +202,17 @@ def test_census_agrees_with_full_scan_oracle():
 
 def test_dedup_is_least_arrangement_on_long_words():
     # word lengths up to the census workload's, with short-orbit classes
-    # such as constant words and (a, b, a, b)
+    # such as constant words and (a, b, a, b), reversal-symmetric classes,
+    # size 2 and N = 2; the dedup scan's prenecklace cut, tail test and
+    # class sizes are checked against the plain scan
     shapes = ([(2, size) for size in range(1, 17)]
               + [(3, size) for size in range(1, 11)]
               + [(5, size) for size in range(1, 8)]
               + [(6, size) for size in range(1, 7)]
               + [(n, 3) for n in range(2, 47)]
-              + [(n, 4) for n in range(2, 12)])
+              + [(n, 4) for n in range(2, 12)]
+              + [(n, size) for n in range(2, 12) for size in range(2, 11)
+                 if n ** (size - 2) <= 2 * 10**5])
     for n, size in shapes:
         m = Modulus(n)
         plain = enumerate_solutions(EnumerationQuery(m, size))
@@ -231,6 +235,13 @@ def test_query_validation():
 def test_query_refuses_non_integer_arguments(size, budget):
     with pytest.raises(UsageError):
         EnumerationQuery(Modulus(5), size, budget=budget)
+
+
+@pytest.mark.parametrize("flag", ["dedup", "count_only"])
+@pytest.mark.parametrize("value", ["no", 1, None, 0])
+def test_query_refuses_non_bool_flags(flag, value):
+    with pytest.raises(UsageError):
+        EnumerationQuery(Modulus(5), 3, **{flag: value})
 
 
 def test_query_accepts_an_int_modulus():

@@ -285,6 +285,38 @@ ENUMERATE_DIGESTS = {
         "715992f2a70b00367c21c1956238c440c8044d995b234abacb25cfde8a6e391f",
     (7, 5, True, "csv"):
         "048e7771c4715d12bd32edcade5c26302777593cd0bcb213bd40ef8d82ac5624",
+    # --dedup on long words, short-orbit and reversal-symmetric classes,
+    # N = 2 and a wide alphabet
+    (7, 9, True, "text"):
+        "4e340e3c434eb817c6747398fdfc660070d9b0c7bbcebb72ad7ed8cd1427e441",
+    (7, 9, True, "json"):
+        "705c42c85295b3b97e3a5e8ce8c6ae3b36080bc9dad6a29f6b51671f701b6f2f",
+    (7, 9, True, "csv"):
+        "f8bb485c51320cb06ff28343116d8c063539dcc9a4d0fb6a2995ed953edd78c1",
+    (2, 15, True, "text"):
+        "54f81947217eeef9641005e3acc6820a6bd2df675f31f34c0004e2de23d0131c",
+    (2, 15, True, "json"):
+        "213f816d9103be4943c096ed4c2c5c73d1c0fb1565b7fa8dc478f7c73ee5a5dc",
+    (2, 15, True, "csv"):
+        "ae2acddf1cb469abd1dcb3b5b9e46414bb16e4e9d34ff28362639512f64e99b3",
+    (3, 10, True, "text"):
+        "283cc0a86ae157bb934818971f0310a8bcfbf323dbeac977b7c45cb5d7cf4dc2",
+    (3, 10, True, "json"):
+        "8056e822ecaa0cc2fd5acd20216cba1afaeb1d51c7cada0cb5dd55bbdf45e447",
+    (3, 10, True, "csv"):
+        "f5ae58428b8b5e85e6dba750017eb64641fcec8a1d8e831e8b7d34b55d7d82f9",
+    (6, 6, True, "text"):
+        "70625667106c58c323af6fef10c1cfb646ba03978726bebc0dd16fea8d012884",
+    (6, 6, True, "json"):
+        "a4acecb51e0fa575f477812a6cd74e1d4e201f23800be54f984ce627ce933b5d",
+    (6, 6, True, "csv"):
+        "4508d85a33d7233eaab5d75db1d82cf02eeed79c0e68ea591209cde706d33db3",
+    (46, 3, True, "text"):
+        "64f5a3fcf090c2bf2d3510a2ad7fb4f1b37a43291ae5414d44dbc8b081ee55cc",
+    (46, 3, True, "json"):
+        "b7d359a90e0c4ef40fcc371b8f4de595ae80ae263433865e164c1a56bec3bd21",
+    (46, 3, True, "csv"):
+        "e1aaa0ef908a9e1f9de7505ad872170074c0b912a9d026c5a3cc2423c2278b37",
 }
 
 
