@@ -18,7 +18,6 @@ from .errors import (
     InternalCheckError,
     ModulusMismatchError,
     UsageError,
-    VerificationError,
 )
 from .monomial import (
     Decomposition,

@@ -1,11 +1,13 @@
 """Command-line surface: one subcommand per library operation plus `verify`.
 
 Exit discipline: 0 success, 1 verification/property failure (including a
-`check` whose word is not a solution), 2 usage error.  JSON output is a
-single document with sorted keys and integers only, so parsing it and
-re-serializing it the same way is byte-identical.  Word literals are
-comma-separated integers, negatives allowed; on a shell, prefix negative
-literals with `--` so they are not read as options.
+`check` whose word is not a solution), 2 usage error.  A library
+self-check that fires (`InternalCheckError`) is a bug and propagates with
+its traceback, which also exits 1.  JSON output is a single document
+with sorted keys and integers only, so parsing it and re-serializing it
+the same way is byte-identical.  Word literals are comma-separated
+integers, negatives allowed; on a shell, prefix negative literals with
+`--` so they are not read as options.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import sys
 
 from .bruteforce import DEFAULT_BUDGET, EnumerationQuery, enumerate_solutions
-from .errors import UsageError, VerificationError
+from .errors import UsageError
 from .monomial import (
     Decomposition,
     Exhausted,
@@ -347,9 +349,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
 
 
 def console_main() -> None:

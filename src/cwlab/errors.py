@@ -22,10 +22,5 @@ class BudgetExceededError(UsageError):
         )
 
 
-class VerificationError(RuntimeError):
-    """A computed result contradicts a cross-checked classification rule
-    (CLI exit code 1)."""
-
-
 class InternalCheckError(RuntimeError):
     """A provably-impossible state was reached; indicates a bug, not bad input."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 from math import gcd
 
 from ._record import Record
-from .errors import InternalCheckError, UsageError, VerificationError
+from .errors import InternalCheckError, UsageError
 from .ring import (Mat2, Modulus, as_modulus, elementary, mat_pow,
                    _closing_pair, _pow, _residue)
 from .words import Word, is_solution
@@ -332,7 +332,8 @@ class MonomialReport(Record):
 def _report(m: Modulus, kv: int, h: int, sign: int, split, table=None
             ) -> MonomialReport:
     """kv's report from its walk; table, if given, lists kv's roots in row
-    kv, ascending."""
+    kv, ascending.  On a prime power the verdict is checked against the
+    closed-form rule: a disagreement means the decider or the rule is wrong."""
     if kv == 0:
         certificate = ZeroExcluded()
     elif split is not None:
@@ -341,8 +342,14 @@ def _report(m: Modulus, kv: int, h: int, sign: int, split, table=None
         roots = (quadratic_roots(m, kv) if table is None
                  else QuadraticRoots(m, kv, tuple(table[kv])))
         certificate = Exhausted(h, roots.roots)
-    return MonomialReport(m, kv, h, sign, isinstance(certificate, Exhausted),
-                          certificate)
+    irreducible = isinstance(certificate, Exhausted)
+    if len(m.factors) == 1:
+        expected = _prime_power_irreducible(*m.factors[0], kv)
+        if expected != irreducible:
+            raise InternalCheckError(
+                f"N={m.n}, k={kv}: computed irreducible={irreducible} but "
+                f"the prime-power rule says {expected}")
+    return MonomialReport(m, kv, h, sign, irreducible, certificate)
 
 
 def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
@@ -355,7 +362,8 @@ def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
     that finds h also finds the shortest right summand; its boundary is
     x = c_j c_{j-1}, the only root that works at that length.  For k = 0
     the minimal solution is the pair (0, 0), reported as not irreducible
-    with a sentinel certificate.
+    with a sentinel certificate.  On a prime power the verdict is checked
+    against the closed-form rule.
     """
     m = as_modulus(modulus)
     kv = _residue(k, m.n)
@@ -394,10 +402,6 @@ def classify_monomials(modulus: "Modulus | int") -> list[MonomialReport]:
     checks itself.  Every root set is read from one table, built by a sweep
     over x that puts x in the rows k = x mod N/gcd(x, N); its size is the
     sum over x of gcd(x, N), 921,375 entries at N = 30030.
-
-    Over a prime power the computed verdicts are cross-checked against the
-    closed-form irreducibility rule; any disagreement raises, since it would
-    mean either the decider or the rule is wrong.
     """
     m = as_modulus(modulus)
     n, cap = m.n, size_cap(m)
@@ -414,13 +418,4 @@ def classify_monomials(modulus: "Modulus | int") -> list[MonomialReport]:
             reports[n - k] = _report(m, n - k, h, (-1) ** h * sign,
                                      split and (split[0], -split[1] % n),
                                      table)
-    if len(m.factors) == 1:
-        p, exponent = m.factors[0]
-        for report in reports:
-            expected = _prime_power_irreducible(p, exponent, report.k)
-            if expected != report.irreducible:
-                raise VerificationError(
-                    f"N={m.n}, k={report.k}: computed "
-                    f"irreducible={report.irreducible} but the prime-power "
-                    f"rule says {expected}")
     return reports

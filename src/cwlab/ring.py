@@ -113,7 +113,7 @@ def elementary(k: int, modulus: "Modulus | int") -> Mat2:
 
 def _mul(a: tuple[int, int, int, int], b: tuple[int, int, int, int],
          n: int) -> tuple[int, int, int, int]:
-    """Raw 2x2 product mod n on plain tuples; the hot-loop workhorse."""
+    """Raw 2x2 product mod n on plain tuples, behind `_pow` and `mat_mul`."""
     a11, a12, a21, a22 = a
     b11, b12, b21, b22 = b
     return ((a11 * b11 + a12 * b21) % n,

@@ -11,8 +11,6 @@ word (equivalence, canonical forms, the census orbits) comes from
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from ._record import Record
 from .errors import UsageError
 from .ring import (Mat2, Modulus, as_modulus, _fold, _pm_sign, _residue,
@@ -36,12 +34,6 @@ class Word(Record):
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
 
     def __repr__(self) -> str:
         body = ",".join(str(v) for v in self.values)

@@ -106,6 +106,17 @@ def test_monomial_single_json_certificates_are_pinned(capsys):
             "summary": "exhausted 8 split candidates",
             "examined": {"lengths": [3, 6], "roots": [0, 2]}}})
 
+    code, out, _ = run_cli(capsys, "monomial", "10", "0", "--format", "json")
+    assert code == 0
+    assert out == dump_json({
+        "N": 10, "k": 0, "size": 2, "sign": -1, "irreducible": False,
+        "certificate": {
+            "variant": "zero-excluded",
+            "summary":
+                "minimal solution is (0, 0); excluded from irreducibility",
+            "note":
+                "minimal solution is (0, 0); excluded from irreducibility"}})
+
 
 def test_monomial_exhausted_json_is_its_claim_not_its_candidates(capsys):
     # two million candidates, but the certificate is their grid's bounds
@@ -194,6 +205,12 @@ def test_monomial_all_json_is_pinned(capsys):
 
 def test_monomial_k_out_of_range(capsys):
     code, _, err = run_cli(capsys, "monomial", "9", "9")
+    assert code == 2
+    assert "must lie in" in err
+
+
+def test_roots_k_out_of_range(capsys):
+    code, _, err = run_cli(capsys, "roots", "10", "10")
     assert code == 2
     assert "must lie in" in err
 

@@ -9,6 +9,7 @@ from cwlab.monomial import (
     _walk,
     Decomposition,
     Exhausted,
+    QuadraticRoots,
     ZeroExcluded,
     classify_monomials,
     closed_form_size,
@@ -152,6 +153,9 @@ def test_quadratic_roots_examples():
         (0, 3, 5, 8)
     assert quadratic_roots(10, 3).roots == (0, 3, 5, 8)
     assert quadratic_roots(4, 0).roots == (0, 2)
+    with pytest.raises(InternalCheckError,
+                       match="not closed under x -> k - x"):
+        QuadraticRoots(Modulus(10), 3, (0, 3, 4))
 
 
 def test_quadratic_roots_agree_with_scan():

@@ -36,6 +36,8 @@ def test_factorize_rejects_bad_input():
         factorize(0)
     with pytest.raises(UsageError):
         factorize(-4)
+    with pytest.raises(UsageError):
+        factorize(2 ** 31)
 
 
 def test_euler_phi_examples():

@@ -8,11 +8,12 @@ from itertools import product
 
 import pytest
 
-from cwlab import verification
+from cwlab import monomial, verification
 from cwlab.bruteforce import EnumerationQuery, enumerate_solutions
 from cwlab.cli import main
 from cwlab.errors import InternalCheckError, UsageError
-from cwlab.monomial import QuadraticRoots, minimal_monomial_size
+from cwlab.monomial import (QuadraticRoots, classify_monomials,
+                            minimal_monomial_size, monomial_report)
 from cwlab.ring import Modulus, elementary, is_pm_identity, mat_pow
 from cwlab.words import is_solution, oplus, word
 
@@ -20,6 +21,8 @@ from oracles import arrangements_oracle
 
 
 MINIMAL_MONOMIAL_SIZE = verification.minimal_monomial_size
+MONOMIAL_REPORT = verification.monomial_report
+IS_REDUCIBLE_ORACLE = verification.is_reducible_oracle
 
 
 def size_off_by_one(modulus, k):
@@ -48,6 +51,42 @@ def roots_zero_and_k(modulus, k):
     return QuadraticRoots(modulus, k, tuple(sorted({0, k % modulus.n})))
 
 
+def roots_with_one(modulus, k):
+    """{0, k, 1, k - 1}: closed under x -> k - x, but 1 is no root of a
+    unit k other than 1."""
+    n = modulus.n
+    return QuadraticRoots(modulus, k,
+                          tuple(sorted({0, k % n, 1 % n, (k - 1) % n})))
+
+
+def size_past_the_bound(modulus, k):
+    return 3 * modulus.n + 1, 1
+
+
+def no_families(n):
+    return set()
+
+
+def zero_as_one(modulus, k):
+    return MONOMIAL_REPORT(modulus, k or 1)
+
+
+def right_summand_twice(target):
+    reducible, witness = IS_REDUCIBLE_ORACLE(target)
+    if witness is not None:
+        _left, right, arrangement = witness
+        witness = (right, right, arrangement)
+    return reducible, witness
+
+
+def gcd_one(a, b):
+    return 1
+
+
+def valuation_99(top, j, factors):
+    return 99
+
+
 def all_zero_arrangement(values):
     return [(0,) * len(values)]
 
@@ -60,7 +99,16 @@ def no_arrangements(values):
     return []
 
 
-# (dependency, broken stand-in, check, its arguments, expected counterexample)
+CENSUS_6 = verification._census_set(6, 4)
+
+
+class Only(str):
+    """A counterexample that is the check's only failure: its detail is
+    exactly this, with no "(+N more)" suffix."""
+
+
+# (dependency, broken stand-in, check, its arguments, expected counterexample);
+# the dependency is a dotted name under cwlab.verification
 BROKEN = [
     ("minimal_monomial_size", size_off_by_one, "check_size_table", (),
      "N=10, k=3: h=16, expected 15"),
@@ -97,8 +145,29 @@ BROKEN = [
     ("_arrangements", no_arrangements, "check_arrangement_stability",
      (3,), "N=3: (0, 0, 0) is not among its arrangements"),
     ("_arrangements", no_arrangements, "check_census_symmetry",
-     (6, verification._census_set(6, 4)),
+     (6, CENSUS_6),
      "N=6: (0, 0, 0, 0) is not among its arrangements"),
+    ("_size_4_families", no_families, "check_catalog_size_4",
+     (6, CENSUS_6),
+     Only("N=6: size-4 mismatch, missing=[], "
+          "surplus=[(0, 0, 0, 0), (0, 1, 0, 5), (0, 2, 0, 4)]")),
+    ("quadratic_roots", roots_with_one, "check_prime_power_roots", (9,),
+     "N=9, k=2: roots (0, 1, 2)"),
+    ("minimal_monomial_size", size_past_the_bound,
+     "check_prime_power_size_bound", (9,), "N=9, k=0: h=28 exceeds 3N=27"),
+    ("classify_monomials", refuse, "check_monomial_classification", (9,),
+     Only("forced refusal")),
+    ("monomial_report", zero_as_one, "check_oracle_agreement", (5,),
+     Only("N=5, k=0: expected the zero sentinel")),
+    ("is_reducible_oracle", right_summand_twice, "check_oracle_agreement",
+     (10,), "N=10, k=3: invalid oracle witness Word(8,3,3,3,8 mod 10) (+) "
+            "Word(8,3,3,3,8 mod 10)"),
+    ("power_matrix_identity", refuse, "check_power_matrix_identity", (),
+     "forced refusal"),
+    ("math.gcd", gcd_one, "check_binomial_lemmas", (),
+     "n/gcd(n,k) does not divide C(2,2)"),
+    ("_binomial_valuation", valuation_99, "check_binomial_lemmas", (),
+     "valuation mismatch at C(0,0) base 2"),
 ]
 
 
@@ -114,11 +183,14 @@ def _case_ids(cases):
                          ids=_case_ids(BROKEN))
 def test_check_fails_with_a_counterexample(monkeypatch, name, broken, check,
                                            args, counterexample):
-    monkeypatch.setattr(verification, name, broken)
+    monkeypatch.setattr(f"cwlab.verification.{name}", broken)
     outcome = getattr(verification, check)(*args)
     assert outcome.passed is False
-    assert counterexample in outcome.detail
-    assert re.search(r" \(\+\d+ more\)$", outcome.detail)
+    if isinstance(counterexample, Only):
+        assert outcome.detail == counterexample
+    else:
+        assert counterexample in outcome.detail
+        assert re.search(r" \(\+\d+ more\)$", outcome.detail)
 
 
 def test_boundary_rigidity_fails_on_an_empty_scan(monkeypatch):
@@ -152,6 +224,29 @@ def test_verify_reports_a_raising_oracle(monkeypatch, capsys):
     assert ("FAIL oracle-agreement N=5: N=5, k=1: forced refusal (+3 more)\n"
             in out)
     assert out.endswith(" passed, 1 failed\n")
+
+
+def test_a_flipped_prime_power_rule_fires_on_every_report(monkeypatch,
+                                                         capsys):
+    """The theorem check sits in the report builder, so the single-k report
+    checks itself as the table does, `verify` reports the mismatch as FAIL,
+    and the CLI lets it propagate as the bug it is."""
+    rule = monomial._prime_power_irreducible
+    monkeypatch.setattr(monomial, "_prime_power_irreducible",
+                        lambda p, exponent, k: not rule(p, exponent, k))
+    at_0 = ("N=9, k=0: computed irreducible=False but the prime-power rule "
+            "says True")
+    at_1 = ("N=9, k=1: computed irreducible=True but the prime-power rule "
+            "says False")
+    with pytest.raises(InternalCheckError, match=re.escape(at_0)):
+        classify_monomials(9)
+    with pytest.raises(InternalCheckError, match=re.escape(at_1)):
+        monomial_report(9, 1)
+    outcome = verification.check_monomial_classification(9)
+    assert (outcome.passed, outcome.detail) == (False, at_0)
+    with pytest.raises(InternalCheckError, match=re.escape(at_1)):
+        main(["monomial", "9", "1"])
+    assert capsys.readouterr().out == ""
 
 
 def _words(m, length):

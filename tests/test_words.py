@@ -39,6 +39,9 @@ def test_word_reduces_and_validates():
     assert w.values == (5, 0, 6, 1)
     with pytest.raises(UsageError):
         word([], 7)
+    for values in ((5,), (-1,)):  # Word takes residues only; word reduces
+        with pytest.raises(UsageError, match=r"must lie in \[0, 5\)"):
+            Word(values, Modulus(5))
 
 
 def test_word_built_from_a_list_stores_a_tuple():
