@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import sys
+from itertools import chain, islice
 
 from .bruteforce import DEFAULT_BUDGET, EnumerationQuery, enumerate_solutions
 from .errors import UsageError
@@ -33,21 +34,29 @@ from .verification import PRESETS, render_report, run_moduli, run_preset
 from .words import canonical_form, oplus, parse_word, word_matrix
 
 FORMATS = ("text", "json", "csv")
+JSON_STYLE = {"sort_keys": True, "indent": 2}
 
 
 def dump_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, **JSON_STYLE) + "\n"
 
 
-def _emit(args, text: str, payload: dict, header: list[str], rows) -> None:
+def _emit(args, lines, payload, header: list[str], rows) -> None:
+    """Write the chosen format, building only it: `lines` (text, each ending
+    in a newline) and `rows` (CSV) are iterables, `payload` returns the JSON
+    document; generators stream a long output."""
     if args.format == "json":
-        sys.stdout.write(dump_json(payload))
+        # one write per 4096 pieces: json.dump's write per piece is 1.6x slower
+        pieces = json.JSONEncoder(**JSON_STYLE).iterencode(payload())
+        while batch := "".join(islice(pieces, 4096)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _word_str(values) -> str:
@@ -81,13 +90,12 @@ def cmd_check(args) -> int:
                else "not a solution")
     text = (f"word ({_word_str(w.values)}) mod {modulus.n}\n"
             f"matrix {matrix.rows()}\n{verdict}\n")
-    payload = {"N": modulus.n, "word": list(w.values),
-               "matrix": matrix.rows(),
-               "solution": sign is not None,
-               "sign": sign}
     rows = [[modulus.n, _word_str(w.values), sign is not None,
              "" if sign is None else sign]]
-    _emit(args, text, payload, ["N", "word", "solution", "sign"], rows)
+    _emit(args, [text],
+          lambda: {"N": modulus.n, "word": w.values, "matrix": matrix.rows(),
+                   "solution": sign is not None, "sign": sign},
+          ["N", "word", "solution", "sign"], rows)
     return 0 if sign is not None else 1
 
 
@@ -100,25 +108,27 @@ def _report_row(report) -> list:
             report.certificate.summary()]
 
 
+def _report_payload(r, full: bool) -> dict:
+    return {"k": r.k, "size": r.size, "sign": r.sign,
+            "irreducible": r.irreducible,
+            "certificate": _certificate_payload(r.certificate, full)}
+
+
 def cmd_monomial(args) -> int:
     modulus = Modulus(args.modulus)
     if args.all:
         reports = classify_monomials(modulus)
         count = sum(r.irreducible for r in reports)
-        lines = [f"{'k':>4} {'size':>6} {'sign':>4} {'irr':>3}  certificate"]
-        for r in reports:
-            lines.append(f"{r.k:>4} {r.size:>6} {r.sign:>+4d} "
-                         f"{'yes' if r.irreducible else 'no':>3}  "
-                         f"{r.certificate.summary()}")
-        lines.append(f"irreducible: {count} of {modulus.n}")
-        payload = {"N": modulus.n, "irreducible_count": count,
-                   "reports": [{"k": r.k, "size": r.size, "sign": r.sign,
-                                "irreducible": r.irreducible,
-                                "certificate": _certificate_payload(
-                                    r.certificate, full=False)}
-                               for r in reports]}
-        _emit(args, "\n".join(lines) + "\n", payload, _REPORT_HEADER,
-              map(_report_row, reports))
+        lines = chain(
+            [f"{'k':>4} {'size':>6} {'sign':>4} {'irr':>3}  certificate\n"],
+            (f"{r.k:>4} {r.size:>6} {r.sign:>+4d} "
+             f"{'yes' if r.irreducible else 'no':>3}  "
+             f"{r.certificate.summary()}\n" for r in reports),
+            [f"irreducible: {count} of {modulus.n}\n"])
+        _emit(args, lines, lambda: {
+            "N": modulus.n, "irreducible_count": count,
+            "reports": [_report_payload(r, full=False) for r in reports]},
+            _REPORT_HEADER, map(_report_row, reports))
         return 0
     k = args.k
     if not 0 <= k < modulus.n:
@@ -127,10 +137,9 @@ def cmd_monomial(args) -> int:
     text = (f"N={modulus.n} k={k}: minimal size {r.size}, sign {r.sign:+d}, "
             f"{'irreducible' if r.irreducible else 'not irreducible'}\n"
             f"certificate: {r.certificate.summary()}\n")
-    payload = {"N": modulus.n, "k": k, "size": r.size, "sign": r.sign,
-               "irreducible": r.irreducible,
-               "certificate": _certificate_payload(r.certificate, full=True)}
-    _emit(args, text, payload, _REPORT_HEADER, [_report_row(r)])
+    _emit(args, [text],
+          lambda: {"N": modulus.n, **_report_payload(r, full=True)},
+          _REPORT_HEADER, [_report_row(r)])
     return 0
 
 
@@ -141,9 +150,10 @@ def cmd_sum(args) -> int:
     total = oplus(left, right)
     text = (f"({_word_str(left.values)}) (+) ({_word_str(right.values)}) = "
             f"({_word_str(total.values)}) mod {modulus.n}\n")
-    payload = {"N": modulus.n, "left": list(left.values),
-               "right": list(right.values), "sum": list(total.values)}
-    _emit(args, text, payload, ["N", "left", "right", "sum"],
+    _emit(args, [text],
+          lambda: {"N": modulus.n, "left": left.values,
+                   "right": right.values, "sum": total.values},
+          ["N", "left", "right", "sum"],
           [[modulus.n, _word_str(left.values), _word_str(right.values),
             _word_str(total.values)]])
     return 0
@@ -154,9 +164,10 @@ def cmd_canon(args) -> int:
     w = parse_word(args.word, modulus)
     canon = canonical_form(w)
     text = f"({_word_str(canon.values)}) mod {modulus.n}\n"
-    payload = {"N": modulus.n, "word": list(w.values),
-               "canonical": list(canon.values)}
-    _emit(args, text, payload, ["N", "word", "canonical"],
+    _emit(args, [text],
+          lambda: {"N": modulus.n, "word": w.values,
+                   "canonical": canon.values},
+          ["N", "word", "canonical"],
           [[modulus.n, _word_str(w.values), _word_str(canon.values)]])
     return 0
 
@@ -182,12 +193,11 @@ def cmd_enumerate(args) -> int:
                              count_only=args.count_only,
                              budget=_budget_from_env())
     census = enumerate_solutions(query)
-    lines = [f"N={modulus.n} size={census.size}: {census.total} solutions"
-             + (" (canonical representatives)" if census.dedup else "")]
-    lines.extend(_word_str(row) for row in census.values)
-    payload = {"N": modulus.n, "n": census.size, "total": census.total,
-               "dedup": census.dedup, "representatives": census.values}
-    _emit(args, "\n".join(lines) + "\n", payload,
+    title = (f"N={modulus.n} size={census.size}: {census.total} solutions"
+             + (" (canonical representatives)" if census.dedup else "") + "\n")
+    _emit(args, chain([title], (_word_str(v) + "\n" for v in census.values)),
+          lambda: {"N": modulus.n, "n": census.size, "total": census.total,
+                   "dedup": census.dedup, "representatives": census.values},
           [f"a{i + 1}" for i in range(census.size)], census.values)
     return 0
 
@@ -199,15 +209,16 @@ def cmd_roots(args) -> int:
     roots = quadratic_roots(modulus, args.k)
     text = (f"roots of x(x-{args.k}) mod {modulus.n}: "
             f"{_word_str(roots.roots)}\n")
-    payload = {"N": modulus.n, "k": args.k, "roots": list(roots.roots)}
-    _emit(args, text, payload, ["x"], [[x] for x in roots.roots])
+    _emit(args, [text],
+          lambda: {"N": modulus.n, "k": args.k, "roots": roots.roots},
+          ["x"], [[x] for x in roots.roots])
     return 0
 
 
 def cmd_phi(args) -> int:
     value = euler_phi(args.value)
-    _emit(args, f"phi({args.value}) = {value}\n",
-          {"value": args.value, "phi": value},
+    _emit(args, [f"phi({args.value}) = {value}\n"],
+          lambda: {"value": args.value, "phi": value},
           ["value", "phi"], [[args.value, value]])
     return 0
 
@@ -216,18 +227,19 @@ def cmd_factor(args) -> int:
     factors = factorize(args.value)
     text_body = " * ".join(f"{p}^{e}" if e > 1 else f"{p}"
                            for p, e in factors) or "1"
-    _emit(args, f"{args.value} = {text_body}\n",
-          {"value": args.value, "factors": [[p, e] for p, e in factors]},
-          ["prime", "exponent"], [[p, e] for p, e in factors])
+    _emit(args, [f"{args.value} = {text_body}\n"],
+          lambda: {"value": args.value, "factors": factors},
+          ["prime", "exponent"], factors)
     return 0
 
 
 def cmd_binom_val(args) -> int:
     value = binomial_valuation(args.top, args.j, args.base)
     _emit(args,
-          f"largest e with {args.base}^e | C({args.top},{args.j}): {value}\n",
-          {"top": args.top, "j": args.j, "base": args.base,
-           "valuation": value},
+          [f"largest e with {args.base}^e | C({args.top},{args.j}): "
+           f"{value}\n"],
+          lambda: {"top": args.top, "j": args.j, "base": args.base,
+                   "valuation": value},
           ["top", "j", "base", "valuation"],
           [[args.top, args.j, args.base, value]])
     return 0

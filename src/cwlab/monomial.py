@@ -220,10 +220,10 @@ def power_matrix_identity(n: int, a: int) -> Mat2:
     diag = (1 + 2 ** n * a * a) % big
     off = 2 ** n * a % big
     expected = (diag, off, -off % big, diag)
-    if product.entries() != expected:
+    if product.entries != expected:
         raise InternalCheckError(
             f"product of 2**{n} copies of E({k}) mod {big} is "
-            f"{product.entries()}, expected {expected}")
+            f"{product.entries}, expected {expected}")
     return product
 
 

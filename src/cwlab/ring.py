@@ -58,57 +58,53 @@ def _same_modulus(a: Modulus, b: Modulus) -> Modulus:
 class Mat2(Record):
     """A 2x2 matrix over Z/NZ with determinant 1.
 
-    Entries are least nonnegative residues sharing one modulus; construction
-    rejects anything with determinant != 1, so products of matrices built by
-    this module can never silently leave SL2(Z/NZ).
+    `entries` is the kernels' (m11, m12, m21, m22) tuple of least
+    nonnegative residues sharing one modulus; construction rejects anything
+    with determinant != 1, so products of matrices built by this module can
+    never silently leave SL2(Z/NZ).
     """
 
-    __slots__ = ("m11", "m12", "m21", "m22", "modulus")
+    __slots__ = ("entries", "modulus")
 
-    def __init__(self, m11: int, m12: int, m21: int, m22: int,
-                 modulus: Modulus):
+    def __init__(self, entries, modulus: Modulus):
+        entries = tuple(entries)
+        if len(entries) != 4:
+            raise UsageError(f"a 2x2 matrix has 4 entries, got {len(entries)}")
         n = modulus.n
-        for entry in (m11, m12, m21, m22):
+        for entry in entries:
             if not 0 <= entry < n:
                 raise UsageError(f"matrix entry {entry} outside [0, {n})")
-        det = (m11 * m22 - m12 * m21) % n
+        det = (entries[0] * entries[3] - entries[1] * entries[2]) % n
         if det != 1 % n:
             raise UsageError(f"matrix determinant is {det}, not 1 (mod {n})")
-        object.__setattr__(self, "m11", m11)
-        object.__setattr__(self, "m12", m12)
-        object.__setattr__(self, "m21", m21)
-        object.__setattr__(self, "m22", m22)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "modulus", modulus)
 
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.m11, self.m12, self.m21, self.m22)
-
     def rows(self) -> list[list[int]]:
-        return [[self.m11, self.m12], [self.m21, self.m22]]
+        return [list(self.entries[:2]), list(self.entries[2:])]
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return mat_mul(self, other)
 
     def __repr__(self) -> str:
-        return (f"Mat2([[{self.m11}, {self.m12}], [{self.m21}, {self.m22}]] "
-                f"mod {self.modulus.n})")
+        return f"Mat2({self.rows()} mod {self.modulus.n})"
 
 
 def identity(modulus: "Modulus | int") -> Mat2:
     m = as_modulus(modulus)
-    return Mat2(1 % m.n, 0, 0, 1 % m.n, m)
+    return Mat2((1 % m.n, 0, 0, 1 % m.n), m)
 
 
 def minus_identity(modulus: "Modulus | int") -> Mat2:
     m = as_modulus(modulus)
-    return Mat2(-1 % m.n, 0, 0, -1 % m.n, m)
+    return Mat2((-1 % m.n, 0, 0, -1 % m.n), m)
 
 
 def elementary(k: int, modulus: "Modulus | int") -> Mat2:
     """The matrix [[k, -1], [1, 0]], k reduced mod N; the single letter of
     every word product."""
     m = as_modulus(modulus)
-    return Mat2(_residue(k, m.n), -1 % m.n, 1 % m.n, 0, m)
+    return Mat2((_residue(k, m.n), -1 % m.n, 1 % m.n, 0), m)
 
 
 def _mul(a: tuple[int, int, int, int], b: tuple[int, int, int, int],
@@ -167,7 +163,7 @@ def _pm_sign(m: tuple[int, int, int, int], n: int) -> int | None:
 
 def mat_mul(a: Mat2, b: Mat2) -> Mat2:
     m = _same_modulus(a.modulus, b.modulus)
-    return Mat2(*_mul(a.entries(), b.entries(), m.n), m)
+    return Mat2(_mul(a.entries, b.entries, m.n), m)
 
 
 def _pow(a: tuple[int, int, int, int], e: int, n: int
@@ -187,7 +183,7 @@ def mat_pow(a: Mat2, e: int) -> Mat2:
     """a**e for e >= 0 by square-and-multiply; mat_pow(a, 0) is the identity."""
     if not isinstance(e, int) or isinstance(e, bool) or e < 0:
         raise UsageError(f"exponent must be an integer >= 0, got {e!r}")
-    return Mat2(*_pow(a.entries(), e, a.modulus.n), a.modulus)
+    return Mat2(_pow(a.entries, e, a.modulus.n), a.modulus)
 
 
 def is_pm_identity(m: Mat2) -> int | None:
@@ -196,4 +192,4 @@ def is_pm_identity(m: Mat2) -> int | None:
     Over N = 2 the two coincide; the identity is checked first, so the
     reported sign is +1 there.
     """
-    return _pm_sign(m.entries(), m.modulus.n)
+    return _pm_sign(m.entries, m.modulus.n)

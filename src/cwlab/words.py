@@ -60,7 +60,7 @@ def parse_word(text: str, modulus: "Modulus | int") -> Word:
 
 def word_matrix(w: Word) -> Mat2:
     """E(a_n) ... E(a_1) for w = (a_1, ..., a_n)."""
-    return Mat2(*_fold(w.values, w.modulus.n), w.modulus)
+    return Mat2(_fold(w.values, w.modulus.n), w.modulus)
 
 
 def is_solution(w: Word) -> int | None:

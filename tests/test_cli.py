@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from cwlab import cli
 from cwlab.cli import build_parser, console_main, dump_json, main
+from cwlab.monomial import Decomposition
 from cwlab.verification import PRESETS
 
 
@@ -12,6 +14,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("built output that the chosen format never prints")
 
 
 def test_check_solution_exits_zero(capsys):
@@ -116,6 +122,15 @@ def test_monomial_single_json_certificates_are_pinned(capsys):
                 "minimal solution is (0, 0); excluded from irreducibility",
             "note":
                 "minimal solution is (0, 0); excluded from irreducibility"}})
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_monomial_single_builds_certificate_words_only_for_json(
+        capsys, monkeypatch, fmt):
+    expected = run_cli(capsys, "monomial", "10", "3", "--format", fmt)
+    for name in ("target", "left", "right"):
+        monkeypatch.setattr(Decomposition, name, property(refuse))
+    assert run_cli(capsys, "monomial", "10", "3", "--format", fmt) == expected
 
 
 def test_monomial_exhausted_json_is_its_claim_not_its_candidates(capsys):
@@ -344,6 +359,23 @@ def test_enumerate_is_pinned(capsys, n, size, dedup, fmt):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == ENUMERATE_DIGESTS[n, size, dedup, fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_formats_word_lines_only_for_text(capsys, monkeypatch, fmt):
+    expected = run_cli(capsys, "enumerate", "6", "5", "--format", fmt)
+    monkeypatch.setattr(cli, "_word_str", refuse)
+    assert run_cli(capsys, "enumerate", "6", "5", "--format", fmt) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "6", "5"), ("monomial", "10", "3"),
+    ("monomial", "12", "--all"), ("check", "10", "8,3,3,3,8")])
+def test_json_streams_without_building_the_document_string(
+        capsys, monkeypatch, argv):
+    expected = run_cli(capsys, *argv, "--format", "json")
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert run_cli(capsys, *argv, "--format", "json") == expected
 
 
 def test_enumerate_count_only_and_dedup(capsys):

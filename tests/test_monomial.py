@@ -248,7 +248,7 @@ def test_power_matrix_identity_against_direct_product():
 def test_power_matrix_identity_top_of_range():
     # n = 29 is the largest n with 2**(n+1) <= 2**31 - 1
     big = 2 ** 30
-    assert power_matrix_identity(29, 1).entries() == \
+    assert power_matrix_identity(29, 1).entries == \
         (1 + 2 ** 29, 2 ** 29, big - 2 ** 29, 1 + 2 ** 29)
 
 

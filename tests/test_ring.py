@@ -61,9 +61,21 @@ def test_is_pm_identity_mod_two_reports_plus():
 def test_mat2_rejects_wrong_determinant():
     m = Modulus(7)
     with pytest.raises(UsageError):
-        Mat2(1, 0, 0, 2, m)
+        Mat2((1, 0, 0, 2), m)
     with pytest.raises(UsageError):
-        Mat2(9, 0, 0, 1, m)  # entry out of range
+        Mat2((9, 0, 0, 1), m)  # entry out of range
+
+
+def test_mat2_stores_four_entries_as_a_tuple():
+    m = Modulus(7)
+    with pytest.raises(UsageError):
+        Mat2((1, 0, 0), m)
+    with pytest.raises(UsageError):
+        Mat2((1, 0, 0, 1, 0), m)
+    mat = Mat2([3, 6, 1, 0], m)
+    assert mat.entries == (3, 6, 1, 0)
+    assert mat == elementary(3, 7)
+    assert hash(mat) == hash(elementary(3, 7))
 
 
 def test_mat_mul_rejects_mixed_moduli():
@@ -78,7 +90,8 @@ def test_word_matrix_has_determinant_one(data):
     values = data.draw(st.lists(st.integers(min_value=-100, max_value=100),
                                 min_size=length, max_size=length))
     mat = word_matrix(word(values, n))
-    det = (mat.m11 * mat.m22 - mat.m12 * mat.m21) % n
+    m11, m12, m21, m22 = mat.entries
+    det = (m11 * m22 - m12 * m21) % n
     assert det == 1 % n
 
 

@@ -137,7 +137,7 @@ BROKEN = [
      "N=3: a=(1, 0), b=(0, 0)"),
     ("_arrangements", all_zero_arrangement, "check_arrangement_stability",
      (3,), "N=3: (1, 1, 1) vs arrangement"),
-    # an arrangement missing from the status table is decided directly
+    # an arrangement missing from the status table is a mismatch
     ("_arrangements", longer_arrangement,
      "check_arrangement_stability", (3,),
      "N=3: (0, 0, 0) vs arrangement (0, 0, 0, 0)"),

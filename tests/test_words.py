@@ -73,7 +73,7 @@ def test_word_matrix_all_two_word_mod_eight():
         a, b, c, d = (2 * a - c) % 8, (2 * b - d) % 8, a, b
     assert (a, b, c, d) == (1, 0, 0, 1)  # the product is the identity
     w = word([2] * 8, 8)
-    assert word_matrix(w).entries() == (1, 0, 0, 1)
+    assert word_matrix(w).entries == (1, 0, 0, 1)
     assert is_solution(w) == 1
 
 
