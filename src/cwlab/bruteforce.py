@@ -8,9 +8,13 @@ n-2 letters depth-first, carrying the running matrix product so each
 extension costs one multiplication.  The last two letters are not scanned:
 the prefix's matrix either rules out every tail or forces the only one, so
 every solution is still found, in lexicographic order, and each costs one
-test.  It assumes nothing about the solutions, so it alone serves the
-plain and count-only censuses and verify's census checks, and it is the
-tests' oracle for the dedup scan.
+test.  The last prefix letter is not multiplied in either: that test
+reads only the top-left entry of E(k) P, P the product of the letters
+before it, which is k P_11 - P_21 and so steps by P_11 as k runs over
+0..N-1; one addition per letter replaces the product, and the rest of the
+matrix is formed only for the tails it admits.  It assumes nothing about
+the solutions, so it alone serves the plain and count-only censuses and
+verify's census checks, and it is the tests' oracle for the dedup scan.
 
 Deduplication has its own scan, `_least_solutions`.  It keeps the same
 product stack and forced tail but walks only the prefixes that can begin
@@ -44,6 +48,14 @@ Its correctness rests on four steps.
    when v = r, two disjoint ones (2p words) when v < r, because v < r is
    the least of the class and not a rotation of the reversal.
 
+The bracelet test of steps 3 and 4 needs no least rotation r: it walks
+the rotations of the reversal in turn and stops at the first one that
+decides.  A rotation below v means v > r, and v is dropped.  A rotation
+equal to v puts v in the reversal's orbit, so the two orbits are one; every
+rotation of the reversal is then a rotation of v, none is below the
+necklace v, so r = v and the class has p words.  A pass that no rotation
+stops has every rotation above v, so v < r and the class has 2p words.
+
 Every arrangement of a solution is a solution (see enumerate_solutions),
 so the class sizes of the representatives sum to the raw total, and each
 representative is found once, in lexicographic order, as the plain scan
@@ -63,16 +75,16 @@ from .errors import BudgetExceededError, InternalCheckError, UsageError
 from .ring import Modulus, _closing_pair, _fold, as_modulus
 from .words import Word, _arrangements, is_solution
 
-#: Default enumeration budget, in matrix multiplications.  The CLI lets the
-#: environment override it (CWL_BUDGET).
+#: Default enumeration budget, in prefix letters: a census of size n scans
+#: N**(n-2) of them.  The CLI lets the environment override it (CWL_BUDGET).
 DEFAULT_BUDGET = 10**8
 
 
 class EnumerationQuery(Record):
     """A request to enumerate all solutions of a given size: dedup keeps one
     least arrangement per class (the canonical form), count_only only the
-    total.  The scan needs about N**(size-2) multiplications, checked
-    against the budget before it starts."""
+    total.  The scan steps through N**(size-2) prefix letters, a count
+    checked against the budget before it starts."""
 
     __slots__ = ("modulus", "size", "dedup", "count_only", "budget")
 
@@ -126,31 +138,45 @@ def _solutions(n: int, size: int):
     """Every solution of a size >= 2 over Z/nZ as a value tuple, from the
     N**(size-2) prefixes and each one's solved last two letters.
 
-    With P = E(a_{n-2}) ... E(a_1), the word is a solution exactly when
-    E(y) E(x) P = +/-Id, i.e. E(x) P E(y) = +/-Id, so (y, x) is
-    `ring._closing_pair(P)`: the tail exists exactly when P_11 = +/-1, and
-    then (x, y) = (P_11 P_21, -P_11 P_12), spelled inline in the hot loop.
+    With Q = E(a_{n-2}) ... E(a_1), the word is a solution exactly when
+    E(y) E(x) Q = +/-Id, i.e. E(x) Q E(y) = +/-Id, so (y, x) is
+    `ring._closing_pair(Q)`: the tail exists exactly when Q_11 = +/-1, and
+    then (x, y) = (Q_11 Q_21, -Q_11 Q_12), spelled inline in the hot loop.
     Each prefix therefore has at most one solution, so the words come out
     in lexicographic order.
+
+    The product stack stops at letter n-3, P = E(a_{n-3}) ... E(a_1).  The
+    last prefix letter k gives Q = E(k) P, whose first row is
+    (k P_11 - P_21, k P_12 - P_22) and second row (P_11, P_12), so Q_11
+    steps through k = 0..N-1 by P_11 and the rest of Q is formed only
+    where Q_11 = +/-1.
     """
-    prefix_len = size - 2
+    if size == 2:
+        # E(y) E(x) = [[x y - 1, -y], [x, -1]]
+        yield (0, 0)
+        return
+    depth = size - 3
     one = 1 % n
     minus_one = -1 % n
-    prefix = [(one, 0, 0, one)] * (prefix_len + 1)
-    digits = [0] * prefix_len
+    prefix = [(one, 0, 0, one)] * (depth + 1)
+    digits = [0] * depth
     pos = 0
     while True:
-        while pos < prefix_len:
+        while pos < depth:
             k = digits[pos]
             a, b, c, d = prefix[pos]
             # E(k) . [[a, b], [c, d]]
             prefix[pos + 1] = ((k * a - c) % n, (k * b - d) % n, a, b)
             pos += 1
-        a, b, c, _ = prefix[prefix_len]
-        if a == one or a == minus_one:
-            # a = -s, so (x, y) = (a c, -a b)
-            yield tuple(digits) + (a * c % n, -a * b % n)
-        pos = prefix_len - 1
+        a, b, c, d = prefix[depth]
+        head = tuple(digits)
+        top = -c % n
+        for k in range(n):
+            if top == one or top == minus_one:
+                # top = -s, so (x, y) = (top a, -top (k b - d))
+                yield head + (k, top * a % n, -top * (k * b - d) % n)
+            top = (top + a) % n
+        pos = depth - 1
         while pos >= 0 and digits[pos] == n - 1:
             digits[pos] = 0
             pos -= 1
@@ -198,10 +224,16 @@ def _least_solutions(n: int, size: int):
             else:
                 if size % p == 0:
                     v = tuple(a[1:])
-                    rev = v[::-1]
-                    least = min(rev[r:] + rev[:r] for r in range(size))
-                    if v <= least:
-                        yield v, p if v == least else 2 * p
+                    twice = v[::-1] * 2
+                    for r in range(size):
+                        rotation = twice[r:r + size]
+                        if rotation < v:
+                            break
+                        if rotation == v:
+                            yield v, p
+                            break
+                    else:
+                        yield v, 2 * p
         t = prefix_len
         while a[t] == n - 1:
             t -= 1

@@ -69,9 +69,9 @@ def _certificate_payload(certificate, full: bool) -> dict:
     if not full:
         return payload
     if isinstance(certificate, Decomposition):
-        payload["target"] = list(certificate.target.values)
-        payload["left"] = list(certificate.left.values)
-        payload["right"] = list(certificate.right.values)
+        payload["target"] = certificate.target.values
+        payload["left"] = certificate.left.values
+        payload["right"] = certificate.right.values
         payload["rotation_note"] = certificate.rotation_note
     elif isinstance(certificate, Exhausted):
         payload["examined"] = {"lengths": [3, certificate.size - 1],

@@ -15,6 +15,8 @@ from cwlab.monomial import minimal_monomial_size
 from cwlab.ring import Modulus, _closing_pair, _fold, _mul, _pm_sign
 from cwlab.verification import (
     _census_set,
+    check_catalog_size_2,
+    check_catalog_size_3,
     check_catalog_size_4,
     check_census_symmetry,
     check_oracle_agreement,
@@ -200,20 +202,24 @@ def test_census_agrees_with_full_scan_oracle():
                 assert got == enumerate_oracle(query), (n, size, flags)
 
 
+# word lengths up to the census workload's, with short-orbit classes such
+# as constant words and (a, b, a, b), reversal-symmetric classes, size 2 and
+# N = 2
+LONG_WORD_SHAPES = ([(2, size) for size in range(1, 17)]
+                    + [(3, size) for size in range(1, 11)]
+                    + [(5, size) for size in range(1, 8)]
+                    + [(6, size) for size in range(1, 7)]
+                    + [(n, 3) for n in range(2, 47)]
+                    + [(n, 4) for n in range(2, 12)]
+                    + [(n, size) for n in range(2, 12)
+                       for size in range(2, 11)
+                       if n ** (size - 2) <= 2 * 10**5])
+
+
 def test_dedup_is_least_arrangement_on_long_words():
-    # word lengths up to the census workload's, with short-orbit classes
-    # such as constant words and (a, b, a, b), reversal-symmetric classes,
-    # size 2 and N = 2; the dedup scan's prenecklace cut, tail test and
-    # class sizes are checked against the plain scan
-    shapes = ([(2, size) for size in range(1, 17)]
-              + [(3, size) for size in range(1, 11)]
-              + [(5, size) for size in range(1, 8)]
-              + [(6, size) for size in range(1, 7)]
-              + [(n, 3) for n in range(2, 47)]
-              + [(n, 4) for n in range(2, 12)]
-              + [(n, size) for n in range(2, 12) for size in range(2, 11)
-                 if n ** (size - 2) <= 2 * 10**5])
-    for n, size in shapes:
+    # the dedup scan's prenecklace cut, tail test and class sizes are
+    # checked against the plain scan
+    for n, size in LONG_WORD_SHAPES:
         m = Modulus(n)
         plain = enumerate_solutions(EnumerationQuery(m, size))
         dedup = enumerate_solutions(EnumerationQuery(m, size, dedup=True))
@@ -221,6 +227,25 @@ def test_dedup_is_least_arrangement_on_long_words():
         assert [w.values for w in dedup.words] == \
             sorted({min(_arrangements(w.values)) for w in plain.words}), \
             (n, size)
+
+
+def test_dedup_class_size_is_the_number_of_arrangements():
+    # the bracelet test's early exits decide each class size on its own,
+    # not only through the totals
+    for n, size in LONG_WORD_SHAPES:
+        if size < 2:
+            continue
+        for v, orbit in bruteforce._least_solutions(n, size):
+            assert orbit == len(set(_arrangements(v))), (n, size, v)
+
+
+def test_census_progression_matches_the_catalogs_beyond_the_oracle():
+    # the stepped last prefix letter against the closed-form size-2, -3 and
+    # -4 catalogs, at moduli the full-scan oracle cannot reach
+    for n in [*range(2, 61), 97, 128, 210, 1000]:
+        for outcome in (check_catalog_size_2(n), check_catalog_size_3(n),
+                        check_catalog_size_4(n, _census_set(n, 4))):
+            assert outcome.passed, outcome.detail
 
 
 def test_query_validation():
