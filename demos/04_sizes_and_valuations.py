@@ -12,12 +12,12 @@ from math import comb
 
 from cwlab import binomial_valuation, closed_form_size, minimal_monomial_size
 
-print("minimal sizes: formula vs iteration")
+print("minimal sizes: formula vs the order of E(k)")
 for n, k in ((36, 6), (9, 3), (32, 8), (18, 12), (30, 6), (10, 3)):
     formula = closed_form_size(n, k)
-    iterative, _sign = minimal_monomial_size(n, k)
+    order, _sign = minimal_monomial_size(n, k)
     shown = formula if formula is not None else "n/a"
-    print(f"  N={n:>3} k={k:>2}: formula {shown!s:>4}, iterative {iterative}")
+    print(f"  N={n:>3} k={k:>2}: formula {shown!s:>4}, order {order}")
 print()
 
 print("valuations of C(2**(n-1), j) at 2: at least n+1-j for j >= 3")

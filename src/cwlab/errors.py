@@ -10,15 +10,16 @@ class ModulusMismatchError(UsageError):
 
 
 class BudgetExceededError(UsageError):
-    """An enumeration would exceed the configured multiplication budget."""
+    """An enumeration would scan more prefix letters than its budget: a
+    census of size n over Z/NZ steps through N**(n-2) of them."""
 
     def __init__(self, base: int, exponent: int, budget: int):
         self.base = base
         self.exponent = exponent
         self.budget = budget
         super().__init__(
-            f"enumeration needs about {base}**{exponent} matrix "
-            f"multiplications, budget is {budget}"
+            f"enumeration needs {base}**{exponent} prefix letters, "
+            f"budget is {budget}"
         )
 
 

@@ -5,8 +5,8 @@ whose matrix is plus or minus the identity; its length h is the order of
 E(k) = [[k, -1], [1, 0]] in SL2(Z/NZ) modulo sign, so the all-k solution
 lengths are exactly the multiples of h.
 
-Size, sign and reducibility all come from one walk over the continuants
-c_j, defined by E(k)**j = [[c_j, -c_{j-1}], [c_{j-1}, -c_{j-2}]]
+Size, sign and reducibility come from the continuants c_j, defined by
+E(k)**j = [[c_j, -c_{j-1}], [c_{j-1}, -c_{j-2}]]
 (c_0 = 1, c_1 = k, c_{j+1} = k c_j - c_{j-1}).  E(k)**j = +/-Id exactly
 when c_{j-1} = 0 and c_j = +/-1, which gives h and its sign.  Writing the
 target as a sum forces a right summand (a, k, ..., k, b) of length j + 2
@@ -19,6 +19,18 @@ The roots of x(x - k) come in closed form per prime power of N, combined by
 the Chinese remainder theorem.  The unstructured search in the bruteforce
 module cross-checks this logic.
 
+No split without a nontrivial root: when 0 and k are the only roots and
+k != 0, the minimal all-k solution is irreducible.  Suppose c_j = +/-1 for
+some 1 <= j <= h - 3, with boundary x = c_j c_{j-1}.  If x = 0 then
+c_{j-1} = 0, as c_j is a unit, so E(k)**j = +/-Id (c_{j-2} = -c_j from
+det = 1) and h divides j.  If x = k the all-k word of length j + 2 is the
+right summand, a solution, so h divides j + 2.  Both contradict
+1 <= j <= h - 3.  This covers every k != 0 over a prime, every unit over a
+prime power, and composite cases such as N = 6, k = 3.  Such a k needs only
+its size, which the order of E(k) gives in O(log N) matrix powers
+(`minimal_monomial_size`); every other k is decided by one O(h) walk over
+the continuants, which finds h and the first split together.
+
 The table over all k walks each pair {k, N - k} once, by the mirror map:
 E(-k) = -J E(k) J with J = diag(1, -1), so c_j(-k) = (-1)**j c_j(k) and -k
 has k's h and split index, sign (-1)**h times k's and boundary -x.  Its
@@ -28,17 +40,18 @@ so x(x - k) = 0 exactly when N/g divides x - k.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from ._record import Record
 from .errors import InternalCheckError, UsageError
+from .numtheory import factorize
 from .ring import (Mat2, Modulus, as_modulus, elementary, mat_pow,
-                   _closing_pair, _pow, _residue)
+                   _closing_pair, _pm_sign, _pow, _residue)
 from .words import Word, is_solution
 
 
 def size_cap(modulus: "Modulus | int") -> int:
-    """Iteration bound for the minimal monomial size search.
+    """Iteration bound for the continuant walk (`_walk`).
 
     For a prime power p**alpha the minimal size is at most 3 p**alpha.  When
     N has r distinct primes, the minimal size divides twice the least common
@@ -79,13 +92,90 @@ def _walk(n: int, k: int, cap: int
         f"no power of E({k}) mod {n} reached +/-identity within {cap} steps")
 
 
+def _order(m: Modulus, kv: int) -> tuple[int, int]:
+    """(h, sign) of E(kv) mod N (kv reduced) from its order, not a walk.
+
+    Bound.  For each p**a exactly dividing N, E = E(kv) satisfies
+    E**(p**(a-1) t) = Id mod p**a, where t = 6 for p = 2 and, for odd p,
+    t = 2p when kv**2 = 4, p - 1 when kv**2 - 4 is a nonzero square and
+    p + 1 otherwise (mod p).  Mod p, E has characteristic polynomial
+    x**2 - kv x + 1 with discriminant kv**2 - 4.  A nonzero square gives
+    distinct eigenvalues in F_p*, so E is diagonalisable over F_p and
+    E**(p-1) = Id.  A non-square gives conjugate eigenvalues in F_{p**2}
+    whose product, their norm, is 1, so they lie in the norm-1 subgroup
+    of order p + 1 and E**(p+1) = Id.  Discriminant 0 gives the double
+    eigenvalue kv/2 = +/-1, so E = +/-(Id + X) with X**2 = 0 and
+    E**(2p) = Id.  SL2(F_2) has order 6, which covers p = 2.  Lifting:
+    if E**e = Id + p**i X with i >= 1, then
+    (Id + p**i X)**p = Id + p**(i+1) X + (binomial terms divisible by
+    p**(i+1)), which holds for p = 2 as well, since 2i >= i + 1; so each
+    factor p raises the exponent of agreement by one, up to p**a.  Hence
+    E**B = Id mod N for B = lcm of the p**(a-1) t.
+
+    Reduction.  {j : E**j = +/-Id} is the subgroup hZ, so h divides B.
+    Take the primes l of B one at a time, with c the current multiple of
+    h (c = B at the start).  Strip l from c, leaving c', and raise
+    E**c' to the l-th power until it is +/-Id.  E**(c' l**i) = +/-Id
+    exactly when h divides c' l**i, and every other prime already has at
+    least its valuation in h in c', so this stops at i = v_l(h), with
+    c' l**i again a multiple of h.  After the last prime c = h, and the
+    last power taken is E**h.  The primes of B are those of p and of t:
+    p, 2, 3, and the odd part of p -/+ 1, factored after its 2s are
+    removed (p + 1 can be 2**31, past `factorize`'s domain).  B is even,
+    so at least one power is taken.  The sign is +1 when E**h = Id, so
+    +1 over N = 2.  A wrong bound would leave no +/-Id power by
+    i = v_l(B), which raises `InternalCheckError`.
+    """
+    n = m.n
+    e = (kv, -1 % n, 1 % n, 0)
+    d = kv * kv - 4
+    bound, primes = 1, {2, 3}
+    for p, a in m.factors:
+        primes.add(p)
+        if p == 2:
+            t = 6
+        elif d % p == 0:
+            t = 2 * p
+        else:
+            t = p - 1 if pow(d, (p - 1) // 2, p) == 1 else p + 1
+            odd = t
+            while odd % 2 == 0:
+                odd //= 2
+            primes.update(q for q, _ in factorize(odd))
+        bound = lcm(bound, p ** (a - 1) * t)
+    h = bound
+    for l in primes:
+        v = 0
+        while h % l == 0:
+            h //= l
+            v += 1
+        if not v:
+            continue
+        power = _pow(e, h, n)
+        while _pm_sign(power, n) is None:
+            if not v:
+                raise InternalCheckError(
+                    f"E({kv})**{bound} mod {n} is not +/-identity; the "
+                    f"order bound is wrong")
+            power = _pow(power, l, n)
+            h *= l
+            v -= 1
+    return h, _pm_sign(power, n)
+
+
 def minimal_monomial_size(modulus: "Modulus | int",
                           k: int) -> tuple[int, int]:
-    """Smallest h >= 1 with E(k)**h = +/-Id, and the sign attained there:
-    the first j with c_{j-1} = 0 and c_j = +/-1 on the continuant walk."""
+    """Smallest h >= 1 with E(k)**h = +/-Id, and the sign attained there.
+
+    h is the order of E(k) modulo +/-Id, found by `_order` in O(log N)
+    matrix powers with no walk: E(k)**B = Id for an explicit multiple B of
+    h built from the primes of N, and h is B with every prime removed that
+    can be removed while E(k) to the quotient stays +/-Id.  The bound and
+    the reduction are proved in `_order`.  On the continuant walk, h is
+    the first j with c_{j-1} = 0 and c_j = +/-1.
+    """
     m = as_modulus(modulus)
-    h, sign, _ = _walk(m.n, _residue(k, m.n), size_cap(m))
-    return h, sign
+    return _order(m, _residue(k, m.n))
 
 
 def closed_form_size(modulus: "Modulus | int", k: int) -> int | None:
@@ -94,7 +184,7 @@ def closed_form_size(modulus: "Modulus | int", k: int) -> int | None:
     The size is then 2N / gcd(N, k), i.e. 2 * prod(p_i**(alpha_i - beta_i))
     over N = prod(p_i**alpha_i), with beta_i the p_i-adic valuation of k
     capped at alpha_i.  When some prime of N does not divide k the formula
-    does not apply and None is returned; the iterative search still works.
+    does not apply and None is returned; `minimal_monomial_size` still works.
     """
     m = as_modulus(modulus)
     kv = _residue(k, m.n)
@@ -329,19 +419,18 @@ class MonomialReport(Record):
         object.__setattr__(self, "certificate", certificate)
 
 
-def _report(m: Modulus, kv: int, h: int, sign: int, split, table=None
+def _report(m: Modulus, kv: int, h: int, sign: int, split, table
             ) -> MonomialReport:
-    """kv's report from its walk; table, if given, lists kv's roots in row
-    kv, ascending.  On a prime power the verdict is checked against the
+    """kv's report from its size and first split; table[kv] lists kv's
+    roots, ascending.  On a prime power the verdict is checked against the
     closed-form rule: a disagreement means the decider or the rule is wrong."""
     if kv == 0:
         certificate = ZeroExcluded()
     elif split is not None:
         certificate = Decomposition(m, kv, h, *split)
     else:
-        roots = (quadratic_roots(m, kv) if table is None
-                 else QuadraticRoots(m, kv, tuple(table[kv])))
-        certificate = Exhausted(h, roots.roots)
+        certificate = Exhausted(
+            h, QuadraticRoots(m, kv, tuple(table[kv])).roots)
     irreducible = isinstance(certificate, Exhausted)
     if len(m.factors) == 1:
         expected = _prime_power_irreducible(*m.factors[0], kv)
@@ -353,21 +442,27 @@ def _report(m: Modulus, kv: int, h: int, sign: int, split, table=None
 
 
 def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
-    """Minimal size, sign and certified reducibility verdict from one walk.
+    """Minimal size, sign and certified reducibility verdict.
 
     The target of length h is reducible exactly when some right summand
     (x, k, ..., k, x) of length l = j + 2 in [3, h-1] is a solution, which
     holds exactly when the continuant c_j is +/-1; the matching left summand
-    (k-x, k, ..., k, k-x) of length h - j is then a solution too.  The walk
-    that finds h also finds the shortest right summand; its boundary is
-    x = c_j c_{j-1}, the only root that works at that length.  For k = 0
-    the minimal solution is the pair (0, 0), reported as not irreducible
-    with a sentinel certificate.  On a prime power the verdict is checked
-    against the closed-form rule.
+    (k-x, k, ..., k, k-x) of length h - j is then a solution too.  Its
+    boundary x = c_j c_{j-1} is a root of x(x - k) = 0, the only one that
+    works at that length.  When k != 0 and the roots are only 0 and k, no
+    split exists (module docstring), so h comes from the order of E(k)
+    and the verdict is irreducible.  Otherwise one walk finds h and the
+    shortest right summand together.  For k = 0 the minimal solution is
+    the pair (0, 0), reported as not irreducible with a sentinel
+    certificate.  On a prime power the verdict is checked against the
+    closed-form rule.
     """
     m = as_modulus(modulus)
     kv = _residue(k, m.n)
-    return _report(m, kv, *_walk(m.n, kv, size_cap(m)))
+    roots = quadratic_roots(m, kv).roots
+    if len(roots) == 2:  # {0, kv} with kv != 0: no split
+        return _report(m, kv, *_order(m, kv), None, {kv: roots})
+    return _report(m, kv, *_walk(m.n, kv, size_cap(m)), {kv: roots})
 
 
 def is_reducible_monomial(modulus: "Modulus | int", k: int) -> tuple[

@@ -189,12 +189,14 @@ def check_size_divisibility(n: int) -> CheckOutcome:
     """All-k solution lengths are exactly the multiples of the minimal h."""
     m = Modulus(n)
     failures = []
+    one, minus_one = 1 % n, -1 % n
     for k in range(n):
         h, _ = minimal_monomial_size(m, k)
-        a, b, c, d = 1 % n, 0, 0, 1 % n  # E(k)**j, left-multiplied as in _fold
+        a, b, c, d = one, 0, 0, one  # E(k)**j, left-multiplied as in _fold
         for j in range(1, 3 * h + 1):
             a, b, c, d = (k * a - c) % n, (k * b - d) % n, a, b
-            present = _pm_sign((a, b, c, d), n) is not None
+            present = (b == 0 and c == 0 and a == d
+                       and (a == one or a == minus_one))
             if present != (j % h == 0):
                 failures.append(f"N={n}, k={k}: length {j} solution "
                                 f"presence {present}, h={h}")
@@ -366,7 +368,7 @@ def check_closed_form_agreement(max_modulus: int = 200) -> CheckOutcome:
             h, _ = minimal_monomial_size(m, k)
             if formula != h:
                 failures.append(f"N={n}, k={k}: formula {formula}, "
-                                f"iterative {h}")
+                                f"order {h}")
     return _outcome("closed-form-agreement", failures,
                     f"{checked} (N, k) pairs up to N={max_modulus}")
 

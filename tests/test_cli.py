@@ -1,13 +1,20 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cwlab import cli
 from cwlab.cli import build_parser, console_main, dump_json, main
 from cwlab.monomial import Decomposition
+from cwlab.numtheory import factorize
+from cwlab.ring import elementary, is_pm_identity, mat_pow
 from cwlab.verification import PRESETS
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +150,46 @@ def test_monomial_exhausted_json_is_its_claim_not_its_candidates(capsys):
         "variant": "exhausted",
         "summary": "exhausted 2000000 split candidates",
         "examined": {"lengths": [3, 1000002], "roots": [0, 2]}}
+
+
+def run_cwl_process(*argv):
+    """`python -m cwlab argv` in a fresh interpreter, killed after 20 s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] \
+        if env.get("PYTHONPATH") else SRC
+    return subprocess.run([sys.executable, "-m", "cwlab", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=20)
+
+
+def assert_is_minimal_size(n, k, h, sign):
+    # pinned by public powers alone: E**h = sign Id, and no E**(h/l) for a
+    # prime l of h is +/-Id, so h is the least such exponent
+    e = elementary(k, n)
+    assert is_pm_identity(mat_pow(e, h)) == sign
+    for l, _ in factorize(h):
+        assert is_pm_identity(mat_pow(e, h // l)) is None, (n, k, h, l)
+
+
+@pytest.mark.parametrize("n, k, h, sign", [
+    (2147483647, 5, 1073741823, -1),
+    (1073741824, 7, 402653184, 1),
+])
+def test_monomial_answers_at_the_top_of_the_domain(n, k, h, sign):
+    # both k have only the roots 0 and k, so no walk of ~10**9 steps runs
+    result = run_cwl_process("monomial", str(n), str(k))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == (
+        f"N={n} k={k}: minimal size {h}, sign {sign:+d}, irreducible")
+    assert_is_minimal_size(n, k, h, sign)
+
+
+def test_monomial_top_of_the_domain_json_is_its_claim():
+    result = run_cwl_process("monomial", "2147483647", "5", "--format",
+                             "json")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["certificate"]["examined"] == {
+        "lengths": [3, 1073741822], "roots": [0, 5]}
 
 
 MONOMIAL_16 = [  # (size, sign, summary) for k = 0..15
@@ -519,12 +566,12 @@ def test_verify_refuses_moduli_past_the_domain(capsys):
 
 
 def test_verify_refuses_a_modulus_past_the_size_4_census_budget(capsys):
-    # the size-4 census runs first and needs 10001**2 > 10**8 multiplications
+    # the size-4 census runs first and needs 10001**2 > 10**8 prefix letters
     code, out, err = run_cli(capsys, "verify", "--N", "10001")
     assert code == 2
     assert out == ""
-    assert err == ("error: enumeration needs about 10001**2 matrix "
-                   "multiplications, budget is 100000000\n")
+    assert err == ("error: enumeration needs 10001**2 prefix letters, "
+                   "budget is 100000000\n")
 
 
 def test_verify_range_is_lazy():

@@ -116,6 +116,52 @@ def test_minimal_size_two_is_only_zero():
             assert (h == 2) == (k == 0)
 
 
+def walked_reports(n):
+    """Every k's report over Z/nZ built from the literal continuant walk:
+    the oracle for the order path."""
+    m, cap = Modulus(n), size_cap(n)
+    for k in range(n):
+        yield monomial._report(m, k, *_walk(n, k, cap),
+                               {k: roots_oracle(n, k)})
+
+
+def test_minimal_size_by_order_agrees_with_the_walk():
+    for n in range(2, 301):
+        cap = size_cap(n)
+        for k in range(n):
+            assert minimal_monomial_size(n, k) == _walk(n, k, cap)[:2], (n, k)
+
+
+def test_report_by_order_agrees_with_the_walk():
+    for n in range(2, 301):
+        for walked in walked_reports(n):
+            # size, sign, verdict and certificate, field by field
+            assert monomial_report(n, walked.k) == walked, (n, walked.k)
+
+
+def test_no_split_when_the_only_roots_are_zero_and_k():
+    trivial = 0
+    for n in range(2, 301):
+        cap = size_cap(n)
+        for k in range(1, n):
+            if quadratic_roots(n, k).roots == (0, k):
+                trivial += 1
+                assert _walk(n, k, cap)[2] is None, (n, k)
+    assert trivial > 10000
+
+
+def refuse_walk(*args):
+    raise AssertionError("walked a k whose only roots are 0 and k")
+
+
+def test_order_needs_no_walk(monkeypatch):
+    monkeypatch.setattr(monomial, "_walk", refuse_walk)
+    assert minimal_monomial_size(2147483647, 5) == (1073741823, -1)
+    assert minimal_monomial_size(2 ** 30, 7) == (402653184, 1)
+    for n, k in ((7, 2), (6, 3), (2147483647, 2), (2 ** 30, 7)):
+        assert monomial_report(n, k).irreducible
+
+
 def test_size_cap_is_generous():
     for n in range(2, 40):
         cap = size_cap(n)
