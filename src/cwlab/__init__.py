@@ -34,7 +34,6 @@ from .monomial import (
     power_matrix_identity,
     power_monomial_word,
     quadratic_roots,
-    size_cap,
     two_boundary_word,
 )
 from .numtheory import (

@@ -76,7 +76,8 @@ from .ring import Modulus, _closing_pair, _fold, as_modulus
 from .words import Word, _arrangements, is_solution
 
 #: Default enumeration budget, in prefix letters: a census of size n scans
-#: N**(n-2) of them.  The CLI lets the environment override it (CWL_BUDGET).
+#: N**(n-2) of them.  The CLI lets the environment override it (CWL_BUDGET),
+#: and also caps the letters of a monomial JSON certificate by it.
 DEFAULT_BUDGET = 10**8
 
 
@@ -131,7 +132,8 @@ def _check_budget(n: int, exponent: int, budget: int) -> None:
     """Refuse when n**exponent exceeds the budget: with n >= 2 it does once
     exponent >= budget.bit_length(), so only smaller powers are built."""
     if exponent >= budget.bit_length() or n ** exponent > budget:
-        raise BudgetExceededError(n, exponent, budget)
+        raise BudgetExceededError("enumeration",
+                                  f"{n}**{exponent} prefix letters", budget)
 
 
 def _solutions(n: int, size: int):

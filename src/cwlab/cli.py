@@ -20,7 +20,7 @@ import sys
 from itertools import chain, islice
 
 from .bruteforce import DEFAULT_BUDGET, EnumerationQuery, enumerate_solutions
-from .errors import UsageError
+from .errors import BudgetExceededError, UsageError
 from .monomial import (
     Decomposition,
     Exhausted,
@@ -134,6 +134,12 @@ def cmd_monomial(args) -> int:
     if not 0 <= k < modulus.n:
         raise UsageError(f"k must lie in [0, {modulus.n}), got {k}")
     r = monomial_report(modulus, k)
+    if args.format == "json" and isinstance(r.certificate, Decomposition):
+        budget = _budget_from_env()
+        letters = 2 * r.size + 2  # target, left and right summands
+        if letters > budget:
+            raise BudgetExceededError("the certificate JSON",
+                                      f"{letters} letters", budget)
     text = (f"N={modulus.n} k={k}: minimal size {r.size}, sign {r.sign:+d}, "
             f"{'irreducible' if r.irreducible else 'not irreducible'}\n"
             f"certificate: {r.certificate.summary()}\n")

@@ -10,17 +10,13 @@ class ModulusMismatchError(UsageError):
 
 
 class BudgetExceededError(UsageError):
-    """An enumeration would scan more prefix letters than its budget: a
-    census of size n over Z/NZ steps through N**(n-2) of them."""
+    """A task would take more letters than its budget: a census of size n
+    over Z/NZ steps through N**(n-2) prefix letters, and a decomposition's
+    JSON certificate writes 2h + 2."""
 
-    def __init__(self, base: int, exponent: int, budget: int):
-        self.base = base
-        self.exponent = exponent
+    def __init__(self, task: str, need: str, budget: int):
         self.budget = budget
-        super().__init__(
-            f"enumeration needs {base}**{exponent} prefix letters, "
-            f"budget is {budget}"
-        )
+        super().__init__(f"{task} needs {need}, budget is {budget}")
 
 
 class InternalCheckError(RuntimeError):

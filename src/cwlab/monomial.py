@@ -27,9 +27,43 @@ det = 1) and h divides j.  If x = k the all-k word of length j + 2 is the
 right summand, a solution, so h divides j + 2.  Both contradict
 1 <= j <= h - 3.  This covers every k != 0 over a prime, every unit over a
 prime power, and composite cases such as N = 6, k = 3.  Such a k needs only
-its size, which the order of E(k) gives in O(log N) matrix powers
-(`minimal_monomial_size`); every other k is decided by one O(h) walk over
-the continuants, which finds h and the first split together.
+its size, the order of E(k), found in O(log N) continuant doublings
+(`minimal_monomial_size`).
+
+Splits come in pairs j <-> h - 2 - j.  Run the recursion downward to
+define c_j for j < 0: c_{-1} = 0, c_{-2} = -1, and d_j = -c_{-2-j} obeys
+the same recursion from the same start, so c_{-2-j} = -c_j.  With
+E(k)**h = s Id, the (2,1) entry of E**(i+h) = s E**i gives
+c_{i+h} = s c_i for every i.  Hence c_{h-2-j} = -s c_j, so c_j = +/-1
+exactly when c_{h-2-j} = +/-1, and the boundary there is
+c_{h-2-j} c_{h-3-j} = c_j c_{j+1} = k c_j**2 - c_j c_{j-1} = k - x.  The
+map j -> h - 2 - j sends [1, h - 3] to itself, so the least split has
+j <= (h - 2) // 2, and a walk over half the order finds it or shows there
+is none (`_half_walk`).
+
+The split as a discrete log.  The right summand (x, k, ..., k, x) with j
+letters k is a solution, E(x) E(k)**j E(x) = +/-Id, exactly when
+c_j = +/-1 and x = c_j c_{j-1} (the closing pair), that is when
+(c_j, c_{j-1}) = +/-(1, x), the first column E(k)**j e_1.  If
+E**i e_1 = +/-E**i' e_1, then E**(i-i') e_1 = +/-e_1, so c_{i-i'-1} = 0
+and c_{i-i'} = +/-1, E**(i-i') = +/-Id and h divides i - i'.  So a root x
+splits at most one j mod h, the discrete log of +/-(1, x) under the
+cyclic group <E(k)> / +/-Id of order h acting on first columns.  x = 0
+has log 0, x = k has log h - 2, and no x has log h - 1, as c_{h-1} = 0;
+so only the other roots, the nontrivial ones, can split, each in
+[1, h - 3], and by the pairing one root of each pair {x, k - x}
+suffices.  Shanks' baby-step
+giant-step finds the logs of r such roots in about 2 sqrt(r h) steps
+(`_log_split`).  `monomial_report` takes h from the order, and the least
+split from the half walk or the log, whichever its cost rule predicts is
+cheaper; `_walk`, one O(h) walk that finds h and the first split
+together, stays as their oracle and as the path of `classify_monomials`.
+
+A decomposition's certificate stands for three words, the target, left
+and right summands, of 2h + 2 letters in all.  The claim (k, size, j, x)
+rechecks in O(log j), but `cwl monomial N k --format json` writes the
+words out, so it refuses with a budget error when they pass the
+enumeration budget (`CWL_BUDGET`); text and CSV print only the claim.
 
 The table over all k walks each pair {k, N - k} once, by the mirror map:
 E(-k) = -J E(k) J with J = diag(1, -1), so c_j(-k) = (-1)**j c_j(k) and -k
@@ -40,29 +74,14 @@ so x(x - k) = 0 exactly when N/g divides x - k.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from ._record import Record
 from .errors import InternalCheckError, UsageError
 from .numtheory import factorize
 from .ring import (Mat2, Modulus, as_modulus, elementary, mat_pow,
-                   _closing_pair, _pm_sign, _pow, _residue)
+                   _closing_pair, _continuants, _residue)
 from .words import Word, is_solution
-
-
-def size_cap(modulus: "Modulus | int") -> int:
-    """Iteration bound for the continuant walk (`_walk`).
-
-    For a prime power p**alpha the minimal size is at most 3 p**alpha.  When
-    N has r distinct primes, the minimal size divides twice the least common
-    multiple of the per-prime-power sizes (the factor 2 makes every component
-    sign +1), and that lcm is at most prod(3 p_i**alpha_i) = 3**r * N.  The
-    multi-prime bound is derived here, not taken from a sharper known result,
-    so it is deliberately generous; exceeding it signals a bug, never bad
-    input.
-    """
-    m = as_modulus(modulus)
-    return 2 * 3 ** len(m.factors) * m.n
 
 
 def _walk(n: int, k: int, cap: int
@@ -74,7 +93,8 @@ def _walk(n: int, k: int, cap: int
     (j, x) for the first j <= h - 3 with c_j = +/-1, else None, where
     x = c_j c_{j-1} makes (x, x) the `ring._closing_pair` of
     E(k)**j = [[c_j, -c_{j-1}], [c_{j-1}, -c_{j-2}]].  The h test comes
-    first, since c_{h-2} = -sign is always +/-1.
+    first, since c_{h-2} = -sign is always +/-1.  Running past cap
+    steps, a proved multiple of h (`_walk_cap`), signals a bug.
     """
     one, minus_one = 1 % n, -1 % n
     prev, cur = one, k  # c_{j-1}, c_j at j = 1
@@ -92,10 +112,10 @@ def _walk(n: int, k: int, cap: int
         f"no power of E({k}) mod {n} reached +/-identity within {cap} steps")
 
 
-def _order(m: Modulus, kv: int) -> tuple[int, int]:
-    """(h, sign) of E(kv) mod N (kv reduced) from its order, not a walk.
+def _order_bound(m: Modulus, kv: int) -> tuple[int, set[int]]:
+    """A multiple B of the order of E(kv) mod N, and the primes of B.
 
-    Bound.  For each p**a exactly dividing N, E = E(kv) satisfies
+    For each p**a exactly dividing N, E = E(kv) satisfies
     E**(p**(a-1) t) = Id mod p**a, where t = 6 for p = 2 and, for odd p,
     t = 2p when kv**2 = 4, p - 1 when kv**2 - 4 is a nonzero square and
     p + 1 otherwise (mod p).  Mod p, E has characteristic polynomial
@@ -110,24 +130,11 @@ def _order(m: Modulus, kv: int) -> tuple[int, int]:
     (Id + p**i X)**p = Id + p**(i+1) X + (binomial terms divisible by
     p**(i+1)), which holds for p = 2 as well, since 2i >= i + 1; so each
     factor p raises the exponent of agreement by one, up to p**a.  Hence
-    E**B = Id mod N for B = lcm of the p**(a-1) t.
-
-    Reduction.  {j : E**j = +/-Id} is the subgroup hZ, so h divides B.
-    Take the primes l of B one at a time, with c the current multiple of
-    h (c = B at the start).  Strip l from c, leaving c', and raise
-    E**c' to the l-th power until it is +/-Id.  E**(c' l**i) = +/-Id
-    exactly when h divides c' l**i, and every other prime already has at
-    least its valuation in h in c', so this stops at i = v_l(h), with
-    c' l**i again a multiple of h.  After the last prime c = h, and the
-    last power taken is E**h.  The primes of B are those of p and of t:
-    p, 2, 3, and the odd part of p -/+ 1, factored after its 2s are
-    removed (p + 1 can be 2**31, past `factorize`'s domain).  B is even,
-    so at least one power is taken.  The sign is +1 when E**h = Id, so
-    +1 over N = 2.  A wrong bound would leave no +/-Id power by
-    i = v_l(B), which raises `InternalCheckError`.
+    E**B = Id mod N for B = lcm of the p**(a-1) t.  The primes of B are
+    those of p and of t: p, 2, 3, and the odd part of p -/+ 1, factored
+    after its 2s are removed (p + 1 can be 2**31, past `factorize`'s
+    domain).
     """
-    n = m.n
-    e = (kv, -1 % n, 1 % n, 0)
     d = kv * kv - 4
     bound, primes = 1, {2, 3}
     for p, a in m.factors:
@@ -143,6 +150,41 @@ def _order(m: Modulus, kv: int) -> tuple[int, int]:
                 odd //= 2
             primes.update(q for q, _ in factorize(odd))
         bound = lcm(bound, p ** (a - 1) * t)
+    return bound, primes
+
+
+def _walk_cap(m: Modulus) -> int:
+    """`_order_bound` for every k at once: lcm over p**a exactly dividing N
+    of p**(a-1) t, with t = 6 for p = 2 and t = lcm(2p, p - 1, p + 1) =
+    p (p**2 - 1) / 2 for odd p, so a multiple of every k's order."""
+    return lcm(*(p ** (a - 1) * (6 if p == 2 else p * (p * p - 1) // 2)
+                 for p, a in m.factors))
+
+
+def _order(m: Modulus, kv: int) -> tuple[int, int]:
+    """(h, sign) of E(kv) mod N (kv reduced) from its order, not a walk.
+
+    {j : E**j = +/-Id} is the subgroup hZ, so h divides the bound B of
+    `_order_bound`.  Take the primes l of B one at a time, with c the
+    current multiple of h (c = B at the start).  Strip l from c, leaving
+    c', and raise E**c' to the l-th power until it is +/-Id.
+    E**(c' l**i) = +/-Id exactly when h divides c' l**i, and every other
+    prime already has at least its valuation in h in c', so this stops at
+    i = v_l(h), with c' l**i again a multiple of h.  After the last prime
+    c = h.  B is even, so at least one power is taken.
+
+    Each power E**c is held as its continuants (c_c, c_{c-1})
+    (`ring._continuants`); it is +/-Id exactly when c_{c-1} = 0 and
+    c_c = +/-1.  Raising M = E**c, of trace t = c_c - c_{c-2} =
+    2 c_c - kv c_{c-1}, to the l-th power uses Cayley-Hamilton,
+    M**l = U_l(t) M - U_{l-1}(t) Id, with (U_l(t), U_{l-1}(t)) the
+    continuants of E(t) at l - 1.  The sign is +1 when E**h = Id, so +1
+    over N = 2.  A wrong bound would leave no +/-Id power by
+    i = v_l(B), which raises `InternalCheckError`.
+    """
+    n = m.n
+    one, minus_one = 1 % n, -1 % n
+    bound, primes = _order_bound(m, kv)
     h = bound
     for l in primes:
         v = 0
@@ -151,16 +193,65 @@ def _order(m: Modulus, kv: int) -> tuple[int, int]:
             v += 1
         if not v:
             continue
-        power = _pow(e, h, n)
-        while _pm_sign(power, n) is None:
+        c, d = _continuants(kv, h, n)
+        while d or c != one and c != minus_one:
             if not v:
                 raise InternalCheckError(
                     f"E({kv})**{bound} mod {n} is not +/-identity; the "
                     f"order bound is wrong")
-            power = _pow(power, l, n)
+            u, w = _continuants((2 * c - kv * d) % n, l - 1, n)
+            c, d = (u * c - w) % n, u * d % n
             h *= l
             v -= 1
-    return h, _pm_sign(power, n)
+    return h, 1 if c == one else -1
+
+
+def _half_walk(n: int, k: int, h: int) -> tuple[int, int] | None:
+    """The least split (j, x) of E(k) mod n of order h, or None, from
+    c_1, ..., c_{(h-2)//2}: splits pair up as j <-> h - 2 - j (module
+    docstring), so the least one lies in that half."""
+    one, minus_one = 1 % n, -1 % n
+    prev, cur = 1, k  # c_{j-1}, c_j at j = 1
+    for j in range(1, (h - 2) // 2 + 1):
+        if cur == one or cur == minus_one:
+            return j, cur * prev % n
+        prev, cur = cur, (k * cur - prev) % n
+    return None
+
+
+def _log_split(n: int, k: int, h: int, targets) -> tuple[int, int] | None:
+    """The least split (j, x) of E(k) mod n of order h, or None, by a
+    baby-step giant-step discrete log; targets holds one root x of each
+    pair {x, k - x} of nontrivial roots.
+
+    (j, x) is a split exactly when E**j e_1 = +/-(1, x), and that j is
+    unique mod h (module docstring).  With s = isqrt(r h / 2) + 1 capped
+    at h, for r targets: a table of the first columns (c_i, c_{i-1}) of
+    E**i, i < s, under both signs, whose keys are distinct since s <= h;
+    then giant steps (1, x), E**-s (1, x), E**-2s (1, x), ... until one
+    lands in the table at step g, entry i, giving the least log
+    j = g s + i.  Each log also gives its pair (h - 2 - j, k - x).  About
+    s + r h / s steps, the giant ones about twice as dear.
+    """
+    s = min(isqrt(len(targets) * h // 2) + 1, h)
+    table = {}
+    prev, cur = 0, 1  # c_{i-1}, c_i at i = 0
+    for i in range(s):
+        table[cur * n + prev] = table[-cur % n * n + -prev % n] = i
+        prev, cur = cur, (k * cur - prev) % n
+    # E**-s = [[-c_{s-2}, c_{s-1}], [-c_{s-1}, c_s]], the inverse of E**s
+    cs, cs1 = _continuants(k, s, n)
+    cs2 = (k * cs1 - cs) % n
+    splits = []
+    for x in targets:
+        a, b = 1, x
+        for g in range(0, h, s):
+            i = table.get(a * n + b)
+            if i is not None:
+                splits += [(g + i, x), (h - 2 - g - i, (k - x) % n)]
+                break
+            a, b = (cs1 * b - cs2 * a) % n, (cs * b - cs1 * a) % n
+    return min(splits, default=None)
 
 
 def minimal_monomial_size(modulus: "Modulus | int",
@@ -168,10 +259,11 @@ def minimal_monomial_size(modulus: "Modulus | int",
     """Smallest h >= 1 with E(k)**h = +/-Id, and the sign attained there.
 
     h is the order of E(k) modulo +/-Id, found by `_order` in O(log N)
-    matrix powers with no walk: E(k)**B = Id for an explicit multiple B of
-    h built from the primes of N, and h is B with every prime removed that
-    can be removed while E(k) to the quotient stays +/-Id.  The bound and
-    the reduction are proved in `_order`.  On the continuant walk, h is
+    continuant doublings with no walk: E(k)**B = Id for an explicit
+    multiple B of h built from the primes of N, and h is B with every
+    prime removed that can be removed while E(k) to the quotient stays
+    +/-Id.  The bound is proved in `_order_bound`, the reduction in
+    `_order`.  On the continuant walk, h is
     the first j with c_{j-1} = 0 and c_j = +/-1.
     """
     m = as_modulus(modulus)
@@ -336,7 +428,8 @@ class Decomposition(Record):
         if not 1 <= j <= size - 3:
             raise InternalCheckError(f"summand shorter than 3 at j={j}")
         n = modulus.n
-        if _closing_pair(_pow((k, -1 % n, 1 % n, 0), j, n), n) != (x, x):
+        c, d = _continuants(k, j, n)  # E(k)**j = [[c, -d], [d, c - k d]]
+        if _closing_pair((c, -d % n, d, (c - k * d) % n), n) != (x, x):
             raise InternalCheckError(f"x={x} does not close E({k})**{j}")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "k", k)
@@ -449,20 +542,30 @@ def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
     holds exactly when the continuant c_j is +/-1; the matching left summand
     (k-x, k, ..., k, k-x) of length h - j is then a solution too.  Its
     boundary x = c_j c_{j-1} is a root of x(x - k) = 0, the only one that
-    works at that length.  When k != 0 and the roots are only 0 and k, no
-    split exists (module docstring), so h comes from the order of E(k)
-    and the verdict is irreducible.  Otherwise one walk finds h and the
-    shortest right summand together.  For k = 0 the minimal solution is
+    works at that length.  h and the sign come from the order of E(k).
+    When the roots are only 0 and k, no split exists (module docstring)
+    and the verdict is irreducible.  Otherwise the least split comes from
+    a walk over half the order when h < 400 r, for r pairs {x, k - x} of
+    nontrivial roots, and from a baby-step giant-step log otherwise.  The
+    walk costs about h / 2 steps and the log about 2 sqrt(r h), each
+    several times dearer.  For k = 0 the minimal solution is
     the pair (0, 0), reported as not irreducible with a sentinel
     certificate.  On a prime power the verdict is checked against the
     closed-form rule.
     """
     m = as_modulus(modulus)
-    kv = _residue(k, m.n)
+    n, kv = m.n, _residue(k, m.n)
     roots = quadratic_roots(m, kv).roots
-    if len(roots) == 2:  # {0, kv} with kv != 0: no split
-        return _report(m, kv, *_order(m, kv), None, {kv: roots})
-    return _report(m, kv, *_walk(m.n, kv, size_cap(m)), {kv: roots})
+    h, sign = _order(m, kv)
+    targets = [x for x in roots
+               if x != 0 and x != kv and x <= (kv - x) % n]
+    if not targets:  # no split (module docstring)
+        split = None
+    elif h < 400 * len(targets):
+        split = _half_walk(n, kv, h)
+    else:
+        split = _log_split(n, kv, h, targets)
+    return _report(m, kv, h, sign, split, {kv: roots})
 
 
 def is_reducible_monomial(modulus: "Modulus | int", k: int) -> tuple[
@@ -499,7 +602,7 @@ def classify_monomials(modulus: "Modulus | int") -> list[MonomialReport]:
     sum over x of gcd(x, N), 921,375 entries at N = 30030.
     """
     m = as_modulus(modulus)
-    n, cap = m.n, size_cap(m)
+    n, cap = m.n, _walk_cap(m)
     table = [[] for _ in range(n)]
     for x in range(n):
         step = n // gcd(x, n)

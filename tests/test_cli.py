@@ -192,6 +192,66 @@ def test_monomial_top_of_the_domain_json_is_its_claim():
         "lengths": [3, 1073741822], "roots": [0, 5]}
 
 
+@pytest.mark.parametrize("n, k, h, sign, certificate", [
+    (2147483578, 3, 805306341, -1,
+     "splits as 536870894+268435449 with boundaries 1073741792/1073741789"),
+    (2 ** 30, 6, 2 ** 30, 1, "exhausted 4294967284 split candidates"),
+    (2147483646, 6, 24900, 1,
+     "splits as 17100+7802 with boundaries 2115044322/32439330"),
+    (2147482394, 3, 1610611797, -1,
+     "splits as 1073741198+536870601 with boundaries 1073741200/1073741197"),
+])
+def test_monomial_splits_at_the_top_of_the_domain(n, k, h, sign,
+                                                  certificate):
+    # every k here has roots besides 0 and k, so the split comes from the
+    # half walk or the discrete log, never from a walk of ~10**9 steps
+    result = run_cwl_process("monomial", str(n), str(k))
+    assert result.returncode == 0, result.stderr
+    verdict = "not irreducible" if "splits" in certificate else "irreducible"
+    assert result.stdout == (
+        f"N={n} k={k}: minimal size {h}, sign {sign:+d}, {verdict}\n"
+        f"certificate: {certificate}\n")
+    assert_is_minimal_size(n, k, h, sign)
+    if "splits" in certificate:
+        # right summand (x, k, ..., k, x) with j letters k is a solution
+        sizes, boundaries = certificate.split()[2], certificate.split()[-1]
+        j = int(sizes.split("+")[1]) - 2
+        x = int(boundaries.split("/")[1])
+        e, ex = elementary(k, n), elementary(x, n)
+        assert is_pm_identity(ex @ mat_pow(e, j) @ ex) is not None
+
+
+def test_monomial_json_refuses_a_certificate_past_the_budget(monkeypatch):
+    # 2h + 2 = 1,610,612,684 letters of target, left and right, against
+    # the default budget
+    monkeypatch.delenv("CWL_BUDGET", raising=False)
+    result = run_cwl_process("monomial", "2147483578", "3", "--format",
+                             "json")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: the certificate JSON needs 1610612684 "
+                             "letters, budget is 100000000\n")
+
+
+def test_monomial_json_certificate_budget_reads_the_environment(
+        capsys, monkeypatch):
+    # N = 10, k = 3: h = 15, so the certificate has 32 letters
+    expected = run_cli(capsys, "monomial", "10", "3", "--format", "json")
+    monkeypatch.setenv("CWL_BUDGET", "32")
+    assert run_cli(capsys, "monomial", "10", "3", "--format", "json") == \
+        expected
+    monkeypatch.setenv("CWL_BUDGET", "31")
+    code, out, err = run_cli(capsys, "monomial", "10", "3", "--format",
+                             "json")
+    assert (code, out) == (2, "")
+    assert "needs 32 letters, budget is 31" in err
+    for fmt in ("text", "csv"):
+        assert run_cli(capsys, "monomial", "10", "3", "--format", fmt)[0] == 0
+    # an exhausted certificate is its claim, whatever the budget
+    assert run_cli(capsys, "monomial", "1000003", "2", "--format",
+                   "json")[0] == 0
+
+
 MONOMIAL_16 = [  # (size, sign, summary) for k = 0..15
     (2, -1, "minimal solution is (0, 0); excluded from irreducibility"),
     (3, -1, "exhausted 0 split candidates"),

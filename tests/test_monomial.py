@@ -20,11 +20,11 @@ from cwlab.monomial import (
     power_matrix_identity,
     power_monomial_word,
     quadratic_roots,
-    size_cap,
     two_boundary_word,
 )
+from cwlab.numtheory import factorize
 from cwlab.ring import (Modulus, elementary, identity, is_pm_identity, mat_mul,
-                        mat_pow, _mul, _pm_sign)
+                        mat_pow, _continuants, _mul, _pm_sign, _pow)
 from cwlab.verification import (
     check_boundary_rigidity,
     check_closed_form_agreement,
@@ -119,7 +119,8 @@ def test_minimal_size_two_is_only_zero():
 def walked_reports(n):
     """Every k's report over Z/nZ built from the literal continuant walk:
     the oracle for the order path."""
-    m, cap = Modulus(n), size_cap(n)
+    m = Modulus(n)
+    cap = monomial._walk_cap(m)
     for k in range(n):
         yield monomial._report(m, k, *_walk(n, k, cap),
                                {k: roots_oracle(n, k)})
@@ -127,7 +128,7 @@ def walked_reports(n):
 
 def test_minimal_size_by_order_agrees_with_the_walk():
     for n in range(2, 301):
-        cap = size_cap(n)
+        cap = monomial._walk_cap(Modulus(n))
         for k in range(n):
             assert minimal_monomial_size(n, k) == _walk(n, k, cap)[:2], (n, k)
 
@@ -142,7 +143,7 @@ def test_report_by_order_agrees_with_the_walk():
 def test_no_split_when_the_only_roots_are_zero_and_k():
     trivial = 0
     for n in range(2, 301):
-        cap = size_cap(n)
+        cap = monomial._walk_cap(Modulus(n))
         for k in range(1, n):
             if quadratic_roots(n, k).roots == (0, k):
                 trivial += 1
@@ -162,11 +163,72 @@ def test_order_needs_no_walk(monkeypatch):
         assert monomial_report(n, k).irreducible
 
 
-def test_size_cap_is_generous():
+def test_walk_cap_is_a_multiple_of_every_size():
     for n in range(2, 40):
-        cap = size_cap(n)
+        m = Modulus(n)
+        cap = monomial._walk_cap(m)
         for k in range(n):
-            assert minimal_monomial_size(n, k)[0] <= cap
+            bound, primes = monomial._order_bound(m, k)
+            assert cap % bound == 0, (n, k)
+            assert {p for p, _ in factorize(bound)} <= primes, (n, k)
+            assert bound % minimal_monomial_size(n, k)[0] == 0, (n, k)
+
+
+def nontrivial_pairs(n):
+    """(k, h, targets) for every k over Z/nZ with a root besides 0 and k;
+    targets holds one root of each pair {x, k - x} of them."""
+    m = Modulus(n)
+    for k in range(1, n):
+        targets = [x for x in roots_oracle(n, k)
+                   if x not in (0, k) and x <= (k - x) % n]
+        if targets:
+            yield k, minimal_monomial_size(m, k)[0], targets
+
+
+def test_half_walk_agrees_with_the_walk():
+    checked = 0
+    for n in range(2, 301):
+        cap = monomial._walk_cap(Modulus(n))
+        for k, h, _ in nontrivial_pairs(n):
+            assert monomial._half_walk(n, k, h) == _walk(n, k, cap)[2], (n, k)
+            checked += 1
+    assert checked > 10000
+
+
+def test_log_split_agrees_with_the_walk():
+    checked = 0
+    for n in range(2, 301):
+        cap = monomial._walk_cap(Modulus(n))
+        for k, h, targets in nontrivial_pairs(n):
+            assert monomial._log_split(n, k, h, targets) == \
+                _walk(n, k, cap)[2], (n, k)
+            checked += 1
+    assert checked > 10000
+
+
+def test_continuants_are_the_first_column_of_the_power():
+    for n in range(2, 41):
+        for k in range(n):
+            e = (k, -1 % n, 1 % n, 0)
+            for exponent in range(65):
+                power = _pow(e, exponent, n)
+                assert _continuants(k, exponent, n) == (power[0], power[2]), \
+                    (n, k, exponent)
+
+
+def test_continuants_are_a_palindrome_over_the_order():
+    # E(k)**h = s Id gives c_{h-2-j} = -s c_j, so splits pair up as
+    # j <-> h - 2 - j with boundaries x <-> k - x
+    for n in range(2, 61):
+        for k in range(n):
+            h, s = minimal_monomial_size(n, k)
+            for j in range(h - 1):
+                c, prev = _continuants(k, j, n)
+                mirror, mirror_prev = _continuants(k, h - 2 - j, n)
+                assert mirror == -s * c % n, (n, k, j)
+                if j >= 1 and c in (1, n - 1):
+                    assert mirror * mirror_prev % n == \
+                        (k - c * prev) % n, (n, k, j)
 
 
 def test_closed_form_examples():
@@ -475,7 +537,7 @@ def test_walk_of_negated_residue_is_the_mirror():
     # E(-k) = -J E(k) J gives c_j(-k) = (-1)**j c_j(k); N = 2 is left out,
     # since 1 = -1 there and every sign reads +1
     for n in range(3, 201):
-        cap = size_cap(n)
+        cap = monomial._walk_cap(Modulus(n))
         for k in range(n):
             h, sign, split = _walk(n, k, cap)
             mirror = split and (split[0], -split[1] % n)
