@@ -135,11 +135,10 @@ def cmd_monomial(args) -> int:
         raise UsageError(f"k must lie in [0, {modulus.n}), got {k}")
     r = monomial_report(modulus, k)
     if args.format == "json" and isinstance(r.certificate, Decomposition):
-        budget = _budget_from_env()
         letters = 2 * r.size + 2  # target, left and right summands
-        if letters > budget:
+        if letters > DEFAULT_BUDGET:
             raise BudgetExceededError("the certificate JSON",
-                                      f"{letters} letters", budget)
+                                      f"{letters} letters", DEFAULT_BUDGET)
     text = (f"N={modulus.n} k={k}: minimal size {r.size}, sign {r.sign:+d}, "
             f"{'irreducible' if r.irreducible else 'not irreducible'}\n"
             f"certificate: {r.certificate.summary()}\n")

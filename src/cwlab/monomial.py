@@ -37,9 +37,8 @@ E(k)**h = s Id, the (2,1) entry of E**(i+h) = s E**i gives
 c_{i+h} = s c_i for every i.  Hence c_{h-2-j} = -s c_j, so c_j = +/-1
 exactly when c_{h-2-j} = +/-1, and the boundary there is
 c_{h-2-j} c_{h-3-j} = c_j c_{j+1} = k c_j**2 - c_j c_{j-1} = k - x.  The
-map j -> h - 2 - j sends [1, h - 3] to itself, so the least split has
-j <= (h - 2) // 2, and a walk over half the order finds it or shows there
-is none (`_half_walk`).
+map j -> h - 2 - j sends [1, h - 3] to itself, so a root x splits at j
+exactly when k - x splits at h - 2 - j.
 
 The split as a discrete log.  The right summand (x, k, ..., k, x) with j
 letters k is a solution, E(x) E(k)**j E(x) = +/-Id, exactly when
@@ -54,16 +53,17 @@ so only the other roots, the nontrivial ones, can split, each in
 [1, h - 3], and by the pairing one root of each pair {x, k - x}
 suffices.  Shanks' baby-step
 giant-step finds the logs of r such roots in about 2 sqrt(r h) steps
-(`_log_split`).  `monomial_report` takes h from the order, and the least
-split from the half walk or the log, whichever its cost rule predicts is
-cheaper; `_walk`, one O(h) walk that finds h and the first split
-together, stays as their oracle and as the path of `classify_monomials`.
+(`_log_split`).  `monomial_report` takes h from the order and the least
+split from the log; `_walk`, one O(h) walk that finds h and the first
+split together, stays as its oracle and as the path of
+`classify_monomials`.
 
 A decomposition's certificate stands for three words, the target, left
 and right summands, of 2h + 2 letters in all.  The claim (k, size, j, x)
 rechecks in O(log j), but `cwl monomial N k --format json` writes the
 words out, so it refuses with a budget error when they pass the
-enumeration budget (`CWL_BUDGET`); text and CSV print only the claim.
+default enumeration budget (`DEFAULT_BUDGET`); text and CSV print only
+the claim.
 
 The table over all k walks each pair {k, N - k} once, by the mirror map:
 E(-k) = -J E(k) J with J = diag(1, -1), so c_j(-k) = (-1)**j c_j(k) and -k
@@ -204,19 +204,6 @@ def _order(m: Modulus, kv: int) -> tuple[int, int]:
             h *= l
             v -= 1
     return h, 1 if c == one else -1
-
-
-def _half_walk(n: int, k: int, h: int) -> tuple[int, int] | None:
-    """The least split (j, x) of E(k) mod n of order h, or None, from
-    c_1, ..., c_{(h-2)//2}: splits pair up as j <-> h - 2 - j (module
-    docstring), so the least one lies in that half."""
-    one, minus_one = 1 % n, -1 % n
-    prev, cur = 1, k  # c_{j-1}, c_j at j = 1
-    for j in range(1, (h - 2) // 2 + 1):
-        if cur == one or cur == minus_one:
-            return j, cur * prev % n
-        prev, cur = cur, (k * cur - prev) % n
-    return None
 
 
 def _log_split(n: int, k: int, h: int, targets) -> tuple[int, int] | None:
@@ -545,13 +532,11 @@ def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
     works at that length.  h and the sign come from the order of E(k).
     When the roots are only 0 and k, no split exists (module docstring)
     and the verdict is irreducible.  Otherwise the least split comes from
-    a walk over half the order when h < 400 r, for r pairs {x, k - x} of
-    nontrivial roots, and from a baby-step giant-step log otherwise.  The
-    walk costs about h / 2 steps and the log about 2 sqrt(r h), each
-    several times dearer.  For k = 0 the minimal solution is
-    the pair (0, 0), reported as not irreducible with a sentinel
-    certificate.  On a prime power the verdict is checked against the
-    closed-form rule.
+    a baby-step giant-step log of one root of each of the r pairs
+    {x, k - x} of nontrivial roots, in about 2 sqrt(r h) steps.  For k = 0
+    the minimal solution is the pair (0, 0), reported as not irreducible
+    with a sentinel certificate.  On a prime power the verdict is checked
+    against the closed-form rule.
     """
     m = as_modulus(modulus)
     n, kv = m.n, _residue(k, m.n)
@@ -559,12 +544,8 @@ def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
     h, sign = _order(m, kv)
     targets = [x for x in roots
                if x != 0 and x != kv and x <= (kv - x) % n]
-    if not targets:  # no split (module docstring)
-        split = None
-    elif h < 400 * len(targets):
-        split = _half_walk(n, kv, h)
-    else:
-        split = _log_split(n, kv, h, targets)
+    # no split without a nontrivial root (module docstring)
+    split = _log_split(n, kv, h, targets) if targets else None
     return _report(m, kv, h, sign, split, {kv: roots})
 
 

@@ -185,16 +185,6 @@ def nontrivial_pairs(n):
             yield k, minimal_monomial_size(m, k)[0], targets
 
 
-def test_half_walk_agrees_with_the_walk():
-    checked = 0
-    for n in range(2, 301):
-        cap = monomial._walk_cap(Modulus(n))
-        for k, h, _ in nontrivial_pairs(n):
-            assert monomial._half_walk(n, k, h) == _walk(n, k, cap)[2], (n, k)
-            checked += 1
-    assert checked > 10000
-
-
 def test_log_split_agrees_with_the_walk():
     checked = 0
     for n in range(2, 301):
