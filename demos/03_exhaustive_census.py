@@ -1,8 +1,10 @@
 """Exhaustive enumeration at small sizes, and the unstructured oracle.
 
 The enumerator is the ground truth for everything the rest of the library
-claims: it scans every one of the N**(n-2) prefixes of a given size and
-solves the last two letters in closed form, so no solution is missed.  The
+claims: for short words it scans every one of the N**(n-2) prefixes of a
+given size and solves the last two letters in closed form, and for long
+ones it joins the two halves of each word on the +/-Id class of their
+products, so no solution is missed either way.  The
 reducibility oracle is its companion: a literal search over all
 arrangements, splits and boundary pairs, used to cross-check the fast
 structured decider.

@@ -13,8 +13,36 @@ reads only the top-left entry of E(k) P, P the product of the letters
 before it, which is k P_11 - P_21 and so steps by P_11 as k runs over
 0..N-1; one addition per letter replaces the product, and the rest of the
 matrix is formed only for the tails it admits.  It assumes nothing about
-the solutions, so it alone serves the plain and count-only censuses and
-verify's census checks, and it is the tests' oracle for the dedup scan.
+the solutions, so it serves verify's census checks and the short plain and
+count-only censuses, and it is the tests' oracle for the join and for the
+dedup scan.
+
+Long plain and count-only censuses take a meet in the middle instead (the
+join, `_joined_solutions` and `_joined_count`; Horowitz and Sahni,
+"Computing partitions with applications to the knapsack problem", J. ACM
+21, 1974).  A word w = u + v, u its first m = ceil(n/2) letters and v the
+rest, has M(w) = M(v) M(u), so M(w) = s Id exactly when M(u) = s M(v)^-1:
+w is a solution exactly when M(u) and M(v)^-1 lie in one +/-Id class,
+keyed by the smaller of a matrix's entry tuple and its negation's.  The
+join files every v, in lexicographic order, under the class of M(v)^-1,
+then streams the u in lexicographic order and lists u + v for each v
+filed under the class of M(u), so it lists exactly the solutions, each
+once.  They come out in the scan's lexicographic order: all u have length
+m, so u + v orders first by u, the outer loop, and then by v, which each
+class list keeps in generation order.  The count needs no word: it is the
+sum over classes of #u * #v.
+
+The join forms N**m + N**(n-m) products, and at most as many again for
+the halves' shorter prefixes, against the scan's N**(n-2) stepped
+letters.  It holds N**m class keys (N**(n-m) filed words), so no
+list or dict passes N**ceil(n/2) entries besides the solutions themselves.
+A product costs several stepped letters, so `enumerate_solutions` takes
+the join only when N**(n-2) >= 4 (N**m + N**(n-m)), measured as about the
+point where it starts to win: at N = 2 from n = 10, at N = 3 and 4 from
+n = 8, at N >= 5 from n = 7, at n = 6 from N = 8, and never at n <= 5.
+Shorter words keep the scan, which is 100x faster or more at n = 3 and 4:
+(N, n) = (46, 3) takes about 0.004 ms by the scan and 0.5-1.3 ms by the
+join.
 
 Deduplication has its own scan, `_least_solutions`.  It keeps the same
 product stack and forced tail but walks only the prefixes that can begin
@@ -63,12 +91,15 @@ would meet it first.
 
 The oracle folds each split's interior with `ring._fold` and derives its
 one boundary pair with `ring._closing_pair`, the closed form that `verify`
-uses, so a split costs O(n) products whatever N is.  Both scan orders and
+uses, so a split costs O(n) products whatever N is.  The census orders and
 the oracle's search order are fixed, which makes output and witnesses
 reproducible byte for byte.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from itertools import product
 
 from ._record import Record
 from .errors import BudgetExceededError, InternalCheckError, UsageError
@@ -85,7 +116,7 @@ class EnumerationQuery(Record):
     """A request to enumerate all solutions of a given size: dedup keeps one
     least arrangement per class (the canonical form), count_only only the
     total.  The scan steps through N**(size-2) prefix letters, a count
-    checked against the budget before it starts."""
+    checked against the budget before the scan or the join starts."""
 
     __slots__ = ("modulus", "size", "dedup", "count_only", "budget")
 
@@ -111,7 +142,8 @@ class Census(Record):
     """Result of an enumeration: the raw solution count and, unless
     count_only was set, the solutions as value tuples (canonical
     representatives, pairwise inequivalent, when dedup was set; otherwise
-    every solution in scan order).  `words` builds their `Word`s on demand."""
+    every solution in lexicographic order, which the scan and the join
+    share).  `words` builds their `Word`s on demand."""
 
     __slots__ = ("modulus", "size", "total", "dedup", "values")
 
@@ -187,6 +219,48 @@ def _solutions(n: int, size: int):
         digits[pos] += 1
 
 
+def _half_classes(n: int, length: int, inverse: bool) -> list:
+    """The +/-Id class key of M(w), or of M(w)^-1 when inverse, for every
+    word w of the given length over Z/nZ, in lexicographic order of w."""
+    level = [(1 % n, 0, 0, 1 % n)]
+    for _ in range(length):
+        # E(k) . [[a, b], [c, d]], the last letter k varying fastest
+        level = [((k * a - c) % n, (k * b - d) % n, a, b)
+                 for a, b, c, d in level for k in range(n)]
+    if inverse:
+        # [[a, b], [c, d]]^-1 = [[d, -b], [-c, a]] at determinant 1
+        level = [(d, -b % n, -c % n, a) for a, b, c, d in level]
+    # the class key: the smaller of the matrix and its negation
+    return list(map(min, level, ((-a % n, -b % n, -c % n, -d % n)
+                                 for a, b, c, d in level)))
+
+
+def _joined_solutions(n: int, size: int) -> list[tuple[int, ...]]:
+    """The words of `_solutions`, in its order, from the meet in the middle
+    of the module docstring: v, the last size - m letters, filed under the
+    class of M(v)^-1, and u, the first m, streamed against it."""
+    first = (size + 1) // 2
+    table = {}
+    for key, v in zip(_half_classes(n, size - first, True),
+                      product(range(n), repeat=size - first)):
+        table.setdefault(key, []).append(v)
+    found = []
+    for key, u in zip(_half_classes(n, first, False),
+                      product(range(n), repeat=first)):
+        hits = table.get(key)
+        if hits:
+            found += map(u.__add__, hits)
+    return found
+
+
+def _joined_count(n: int, size: int) -> int:
+    """The number of `_solutions`: the sum over classes of #u * #v."""
+    first = (size + 1) // 2
+    filed = Counter(_half_classes(n, size - first, True))
+    return sum(count * filed[key] for key, count
+               in Counter(_half_classes(n, first, False)).items())
+
+
 def _least_solutions(n: int, size: int):
     """The least arrangement of every class of solutions of a size >= 2
     over Z/nZ, with its class size, in lexicographic order.
@@ -250,9 +324,11 @@ def _least_solutions(n: int, size: int):
 
 def enumerate_solutions(query: EnumerationQuery) -> Census:
     """Every solution of the query's size, kept as the value tuples the
-    scan yields (no `Word` is built).
+    scan or the join yields (no `Word` is built).
 
-    Without dedup, and for count_only, that is one scan of `_solutions`.
+    Without dedup, and for count_only, that is one scan of `_solutions`, or
+    for long words the join (`_joined_solutions`, `_joined_count`), chosen
+    from N and the size alone by the rule in the module docstring.
     Under dedup it is one scan of `_least_solutions`, which yields each
     class's least arrangement with the class's size, and the total is the
     sum of those sizes.  That needs every arrangement of a solution to be
@@ -264,16 +340,21 @@ def enumerate_solutions(query: EnumerationQuery) -> Census:
     if size == 1:
         # E(a) has nonzero off-diagonal entries
         return Census(m, size, 0, query.dedup)
-    _check_budget(m.n, size - 2, query.budget)
+    n = m.n
+    _check_budget(n, size - 2, query.budget)
+    # the rule of the module docstring, which no size <= 5 meets
+    join = size > 5 and (n ** (size - 2)
+                         >= 4 * (n ** (size // 2) + n ** (size - size // 2)))
     if query.count_only:
-        return Census(m, size, sum(1 for _ in _solutions(m.n, size)),
-                      query.dedup)
+        total = (_joined_count(n, size) if join
+                 else sum(1 for _ in _solutions(n, size)))
+        return Census(m, size, total, query.dedup)
     if not query.dedup:
-        found = tuple(_solutions(m.n, size))
+        found = tuple((_joined_solutions if join else _solutions)(n, size))
         return Census(m, size, len(found), False, found)
     total = 0
     found = []
-    for v, orbit in _least_solutions(m.n, size):
+    for v, orbit in _least_solutions(n, size):
         total += orbit
         found.append(v)
     return Census(m, size, total, True, tuple(found))

@@ -77,15 +77,15 @@ def test_census_builds_no_word(monkeypatch):
         return Word(*args)
 
     monkeypatch.setattr(bruteforce, "Word", counting_word)
-    for n in range(2, 8):
-        for size in range(2, 7):
-            for dedup in (False, True):
-                query = EnumerationQuery(n, size, dedup=dedup)
-                census = enumerate_solutions(query)
-                assert built == [], (n, size, dedup)
-                assert census.words == tuple(word(v, n)
-                                             for v in census.values)
-                built.clear()
+    # the scan's shapes, then three that take the join
+    shapes = [(n, size) for n in range(2, 8) for size in range(2, 7)]
+    for n, size in shapes + [(2, 12), (3, 9), (7, 7)]:
+        for dedup in (False, True):
+            query = EnumerationQuery(n, size, dedup=dedup)
+            census = enumerate_solutions(query)
+            assert built == [], (n, size, dedup)
+            assert census.words == tuple(word(v, n) for v in census.values)
+            built.clear()
 
 
 def test_census_count_only():
@@ -237,6 +237,53 @@ def test_dedup_class_size_is_the_number_of_arrangements():
             continue
         for v, orbit in bruteforce._least_solutions(n, size):
             assert orbit == len(set(_arrangements(v))), (n, size, v)
+
+
+# every N <= 12 and 2 <= n <= 10 within 2 * 10**5 prefix letters, and the
+# long shapes above
+JOIN_SHAPES = sorted(
+    {(n, size) for n in range(2, 13) for size in range(2, 11)
+     if n ** (size - 2) <= 2 * 10**5}
+    | {(n, size) for n, size in LONG_WORD_SHAPES if size >= 2})
+
+
+def test_join_gives_the_scan_word_for_word():
+    for n, size in JOIN_SHAPES:
+        assert tuple(bruteforce._joined_solutions(n, size)) == \
+            tuple(bruteforce._solutions(n, size)), (n, size)
+
+
+def test_joined_count_is_the_number_of_scanned_words():
+    for n, size in JOIN_SHAPES:
+        assert bruteforce._joined_count(n, size) == \
+            sum(1 for _ in bruteforce._solutions(n, size)), (n, size)
+
+
+def test_joined_count_at_n_2_is_the_order_of_s3_closed_form():
+    # SL2(F_2) is S3 with E(0) a transposition and E(1) a 3-cycle, so the
+    # words with product Id number (2**n + 2 (-1)**n) / 6
+    for size in range(2, 29):
+        assert bruteforce._joined_count(2, size) == \
+            (2**size + 2 * (-1)**size) // 6, size
+    assert enumerate_solutions(EnumerationQuery(2, 28, count_only=True)) \
+        .total == 44739243
+
+
+def test_census_path_follows_the_cost_rule(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"the other census path ran on {args}")
+
+    for refused, shapes in ((("_joined_solutions", "_joined_count"),
+                             [(46, 3), (10, 5), (1000, 4)]),
+                            (("_solutions",), [(2, 15), (3, 10), (7, 9)])):
+        with monkeypatch.context() as patch:
+            for name in refused:
+                patch.setattr(bruteforce, name, refuse)
+            for n, size in shapes:
+                for count_only in (False, True):
+                    census = enumerate_solutions(
+                        EnumerationQuery(n, size, count_only=count_only))
+                    assert census.total > 0, (n, size, count_only)
 
 
 def test_census_progression_matches_the_catalogs_beyond_the_oracle():

@@ -367,7 +367,8 @@ def test_enumerate_text_json_csv(capsys):
 
 
 #: sha256 of `cwl enumerate N n` stdout, plain and with --dedup; the rows are
-#: the census's value tuples in scan order, and these pin them byte for byte.
+#: the census's value tuples in lexicographic order, and these pin them byte
+#: for byte.
 ENUMERATE_DIGESTS = {
     (5, 5, False, "text"):
         "fe39b34ae56c041b3e881350d8acc3ef27004c6a78d715f40231067aae034f8c",
@@ -437,6 +438,22 @@ ENUMERATE_DIGESTS = {
         "b7d359a90e0c4ef40fcc371b8f4de595ae80ae263433865e164c1a56bec3bd21",
     (46, 3, True, "csv"):
         "e1aaa0ef908a9e1f9de7505ad872170074c0b912a9d026c5a3cc2423c2278b37",
+    # plain long words, which the join gives in the scan's order; recorded
+    # from the scan
+    (2, 15, False, "text"):
+        "ed7a22fe441e80385e906a3688ca2b6d70feb0dba79b75ccbcecfaa027d45272",
+    (2, 15, False, "json"):
+        "f7919f2151fc7fbafed37e441409196f8e0bd99672fb88792bc94d773cd18689",
+    (2, 15, False, "csv"):
+        "4e6655c8eae6ff31e01db24e7553f21525f49b4e5a99bd63b061df2741a7a703",
+    (3, 10, False, "text"):
+        "8ad7e9c0e0fa6e1292cdbd5f25c456a931e04ec73ed83098cd804c82468595e9",
+    (3, 10, False, "json"):
+        "acbe05acfff248ff0ecf38cea2b1a30167664f805da59d0b6663724db0fd5d51",
+    (3, 10, False, "csv"):
+        "a4f0b4a99bcb58c1f8bdae449cec5ce737f508ce4922153e3edee4aad12f3b10",
+    (7, 9, False, "json"):
+        "f657012d54edeecf314561f6df8aec939832acbfc66183854a248926fcbbf291",
 }
 
 
@@ -478,6 +495,13 @@ def test_enumerate_count_only_and_dedup(capsys):
     deduped = json.loads(out)
     assert counted["total"] == deduped["total"]
     assert 0 < len(deduped["representatives"]) < deduped["total"]
+
+
+def test_enumerate_count_only_past_the_scan(capsys):
+    # 2**26 prefix letters, inside the default budget; the join counts them
+    code, out, _ = run_cli(capsys, "enumerate", "2", "28", "--count-only")
+    assert code == 0
+    assert out == "N=2 size=28: 44739243 solutions\n"
 
 
 def test_enumerate_count_only_has_no_csv_form(capsys):
