@@ -27,8 +27,9 @@ det = 1) and h divides j.  If x = k the all-k word of length j + 2 is the
 right summand, a solution, so h divides j + 2.  Both contradict
 1 <= j <= h - 3.  This covers every k != 0 over a prime, every unit over a
 prime power, and composite cases such as N = 6, k = 3.  Such a k needs only
-its size, the order of E(k), found in O(log N) continuant doublings
-(`minimal_monomial_size`).
+its size, the order of E(k): a proved multiple B of it with every prime
+divided out that can go while the power stays +/-Id, one continuant
+doubling of O(log B) bits per prime tested (`minimal_monomial_size`).
 
 Splits come in pairs j <-> h - 2 - j.  Run the recursion downward to
 define c_j for j < 0: c_{-1} = 0, c_{-2} = -1, and d_j = -c_{-2-j} obeys
@@ -165,44 +166,29 @@ def _order(m: Modulus, kv: int) -> tuple[int, int]:
     """(h, sign) of E(kv) mod N (kv reduced) from its order, not a walk.
 
     {j : E**j = +/-Id} is the subgroup hZ, so h divides the bound B of
-    `_order_bound`.  Take the primes l of B one at a time, with c the
-    current multiple of h (c = B at the start).  Strip l from c, leaving
-    c', and raise E**c' to the l-th power until it is +/-Id.
-    E**(c' l**i) = +/-Id exactly when h divides c' l**i, and every other
-    prime already has at least its valuation in h in c', so this stops at
-    i = v_l(h), with c' l**i again a multiple of h.  After the last prime
-    c = h.  B is even, so at least one power is taken.
-
-    Each power E**c is held as its continuants (c_c, c_{c-1})
-    (`ring._continuants`); it is +/-Id exactly when c_{c-1} = 0 and
-    c_c = +/-1.  Raising M = E**c, of trace t = c_c - c_{c-2} =
-    2 c_c - kv c_{c-1}, to the l-th power uses Cayley-Hamilton,
-    M**l = U_l(t) M - U_{l-1}(t) Id, with (U_l(t), U_{l-1}(t)) the
-    continuants of E(t) at l - 1.  The sign is +1 when E**h = Id, so +1
-    over N = 2.  A wrong bound would leave no +/-Id power by
-    i = v_l(B), which raises `InternalCheckError`.
+    `_order_bound`, which is checked once.  Then each prime l of B is
+    divided out of the current multiple e of h (e = B at the start) while
+    E**(e/l) is still +/-Id: that holds exactly when h divides e/l, so e
+    keeps a multiple of h, and once no prime can go, e = h (the standard
+    reduction, Cohen, GTM 138, section 1.4).  Each power E**e is held as
+    its continuants (c_e, c_{e-1}) (`ring._continuants`), one doubling of
+    O(log B) bits per prime tested; it is +/-Id exactly when c_{e-1} = 0
+    and c_e = +/-1.  The sign is c_h, so +1 over N = 2.
     """
     n = m.n
     one, minus_one = 1 % n, -1 % n
-    bound, primes = _order_bound(m, kv)
-    h = bound
+    h, primes = _order_bound(m, kv)
+    c, d = _continuants(kv, h, n)
+    if d or c != one and c != minus_one:
+        raise InternalCheckError(
+            f"E({kv})**{h} mod {n} is not +/-identity; the order bound is "
+            f"wrong")
     for l in primes:
-        v = 0
         while h % l == 0:
-            h //= l
-            v += 1
-        if not v:
-            continue
-        c, d = _continuants(kv, h, n)
-        while d or c != one and c != minus_one:
-            if not v:
-                raise InternalCheckError(
-                    f"E({kv})**{bound} mod {n} is not +/-identity; the "
-                    f"order bound is wrong")
-            u, w = _continuants((2 * c - kv * d) % n, l - 1, n)
-            c, d = (u * c - w) % n, u * d % n
-            h *= l
-            v -= 1
+            c_l, d_l = _continuants(kv, h // l, n)
+            if d_l or c_l != one and c_l != minus_one:
+                break
+            h, c = h // l, c_l
     return h, 1 if c == one else -1
 
 
@@ -245,13 +231,13 @@ def minimal_monomial_size(modulus: "Modulus | int",
                           k: int) -> tuple[int, int]:
     """Smallest h >= 1 with E(k)**h = +/-Id, and the sign attained there.
 
-    h is the order of E(k) modulo +/-Id, found by `_order` in O(log N)
-    continuant doublings with no walk: E(k)**B = Id for an explicit
-    multiple B of h built from the primes of N, and h is B with every
-    prime removed that can be removed while E(k) to the quotient stays
-    +/-Id.  The bound is proved in `_order_bound`, the reduction in
-    `_order`.  On the continuant walk, h is
-    the first j with c_{j-1} = 0 and c_j = +/-1.
+    h is the order of E(k) modulo +/-Id, found by `_order` with no walk:
+    E(k)**B = Id for an explicit multiple B of h built from the primes of
+    N, and h is B with each prime divided out while E(k) to the quotient
+    stays +/-Id, at one continuant doubling of O(log B) bits per prime
+    tested.  The bound is proved in `_order_bound`, the reduction in
+    `_order`.  On the continuant walk, h is the first j with c_{j-1} = 0
+    and c_j = +/-1.
     """
     m = as_modulus(modulus)
     return _order(m, _residue(k, m.n))
@@ -499,18 +485,17 @@ class MonomialReport(Record):
         object.__setattr__(self, "certificate", certificate)
 
 
-def _report(m: Modulus, kv: int, h: int, sign: int, split, table
+def _report(m: Modulus, kv: int, h: int, sign: int, split, roots
             ) -> MonomialReport:
-    """kv's report from its size and first split; table[kv] lists kv's
-    roots, ascending.  On a prime power the verdict is checked against the
-    closed-form rule: a disagreement means the decider or the rule is wrong."""
+    """kv's report from its size, first split and roots, ascending.  On a
+    prime power the verdict is checked against the closed-form rule: a
+    disagreement means the decider or the rule is wrong."""
     if kv == 0:
         certificate = ZeroExcluded()
     elif split is not None:
         certificate = Decomposition(m, kv, h, *split)
     else:
-        certificate = Exhausted(
-            h, QuadraticRoots(m, kv, tuple(table[kv])).roots)
+        certificate = Exhausted(h, QuadraticRoots(m, kv, tuple(roots)).roots)
     irreducible = isinstance(certificate, Exhausted)
     if len(m.factors) == 1:
         expected = _prime_power_irreducible(*m.factors[0], kv)
@@ -546,7 +531,7 @@ def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
                if x != 0 and x != kv and x <= (kv - x) % n]
     # no split without a nontrivial root (module docstring)
     split = _log_split(n, kv, h, targets) if targets else None
-    return _report(m, kv, h, sign, split, {kv: roots})
+    return _report(m, kv, h, sign, split, roots)
 
 
 def is_reducible_monomial(modulus: "Modulus | int", k: int) -> tuple[
@@ -592,9 +577,9 @@ def classify_monomials(modulus: "Modulus | int") -> list[MonomialReport]:
     reports = [None] * n
     for k in range(n // 2 + 1):
         h, sign, split = _walk(n, k, cap)
-        reports[k] = _report(m, k, h, sign, split, table)
+        reports[k] = _report(m, k, h, sign, split, table[k])
         if 0 < k < n - k:
             reports[n - k] = _report(m, n - k, h, (-1) ** h * sign,
                                      split and (split[0], -split[1] % n),
-                                     table)
+                                     table[n - k])
     return reports

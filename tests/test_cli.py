@@ -196,6 +196,8 @@ def test_monomial_top_of_the_domain_json_is_its_claim():
     (2147483578, 3, 805306341, -1,
      "splits as 536870894+268435449 with boundaries 1073741792/1073741789"),
     (2 ** 30, 6, 2 ** 30, 1, "exhausted 4294967284 split candidates"),
+    # B = 3 * 2**30 and h = 4, the longest division chain of the order
+    (2 ** 30, 2 ** 29, 4, 1, "exhausted 32768 split candidates"),
     (2147483646, 6, 24900, 1,
      "splits as 17100+7802 with boundaries 2115044322/32439330"),
     (2147482394, 3, 1610611797, -1,

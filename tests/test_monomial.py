@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import product
 
@@ -122,8 +123,7 @@ def walked_reports(n):
     m = Modulus(n)
     cap = monomial._walk_cap(m)
     for k in range(n):
-        yield monomial._report(m, k, *_walk(n, k, cap),
-                               {k: roots_oracle(n, k)})
+        yield monomial._report(m, k, *_walk(n, k, cap), roots_oracle(n, k))
 
 
 def test_minimal_size_by_order_agrees_with_the_walk():
@@ -161,6 +161,34 @@ def test_order_needs_no_walk(monkeypatch):
     assert minimal_monomial_size(2 ** 30, 7) == (402653184, 1)
     for n, k in ((7, 2), (6, 3), (2147483647, 2), (2 ** 30, 7)):
         assert monomial_report(n, k).irreducible
+
+
+def test_order_refuses_a_wrong_bound(monkeypatch):
+    # E(3) mod 7 has order 4, so its fifth power is not +/-Id
+    monkeypatch.setattr(monomial, "_order_bound", lambda m, kv: (5, {5}))
+    with pytest.raises(InternalCheckError, match="order bound"):
+        minimal_monomial_size(7, 3)
+
+
+def test_order_is_minimal_at_the_top_of_the_domain():
+    # pinned by `mat_pow` alone where no walk can go: E**h = sign Id, h is
+    # a product of the bound's primes, and E**(h/l) is not +/-Id for each
+    # such prime l of h
+    rng = random.Random(20261020)
+    for _ in range(40):
+        n = rng.randrange(2 ** 30, 2 ** 31)
+        k = rng.randrange(n)
+        m = Modulus(n)
+        h, sign = minimal_monomial_size(m, k)
+        e = elementary(k, n)
+        assert is_pm_identity(mat_pow(e, h)) == sign, (n, k)
+        rest = h
+        for l in monomial._order_bound(m, k)[1]:
+            if h % l == 0:
+                assert is_pm_identity(mat_pow(e, h // l)) is None, (n, k, l)
+            while rest % l == 0:
+                rest //= l
+        assert rest == 1, (n, k, h)
 
 
 def test_walk_cap_is_a_multiple_of_every_size():
