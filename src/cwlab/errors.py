@@ -15,7 +15,6 @@ class BudgetExceededError(UsageError):
     JSON certificate writes 2h + 2."""
 
     def __init__(self, task: str, need: str, budget: int):
-        self.budget = budget
         super().__init__(f"{task} needs {need}, budget is {budget}")
 
 

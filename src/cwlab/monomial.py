@@ -85,8 +85,7 @@ from .ring import (Mat2, Modulus, as_modulus, elementary, mat_pow,
 from .words import Word, is_solution
 
 
-def _walk(n: int, k: int, cap: int
-          ) -> tuple[int, int, tuple[int, int] | None]:
+def _walk(n: int, k: int) -> tuple[int, int, tuple[int, int] | None]:
     """Walk the continuants c_j of E(k) mod n (k reduced) once.
 
     Returns (h, sign, split): h is the first j with c_{j-1} = 0 and
@@ -94,13 +93,21 @@ def _walk(n: int, k: int, cap: int
     (j, x) for the first j <= h - 3 with c_j = +/-1, else None, where
     x = c_j c_{j-1} makes (x, x) the `ring._closing_pair` of
     E(k)**j = [[c_j, -c_{j-1}], [c_{j-1}, -c_{j-2}]].  The h test comes
-    first, since c_{h-2} = -sign is always +/-1.  Running past cap
-    steps, a proved multiple of h (`_walk_cap`), signals a bug.
+    first, since c_{h-2} = -sign is always +/-1.
+
+    It stops by pigeonhole, not by `_order_bound`, so it stays an oracle
+    independent of the bound.  (c_{j-1}, c_j) moves under the bijection
+    (u, v) -> (v, k v - u) of (Z/nZ)**2, so the orbit of
+    (c_{-1}, c_0) = (0, 1) is a cycle that misses the fixed point (0, 0):
+    it comes back to (0, 1), where E(k)**j = Id, within n**2 - 1 steps.
+    Running past that signals a bug.  The cap is tighter than the bound's
+    for a prime n = p (p**2 against p (p**2 - 1) / 2) and looser for
+    n = 2**a (4**a against 3 2**a).
     """
     one, minus_one = 1 % n, -1 % n
     prev, cur = one, k  # c_{j-1}, c_j at j = 1
     split = None
-    for j in range(1, cap + 1):
+    for j in range(1, n * n):
         if cur == one or cur == minus_one:
             if prev == 0:
                 if split is not None and split[0] > j - 3:
@@ -110,7 +117,8 @@ def _walk(n: int, k: int, cap: int
                 split = (j, cur * prev % n)
         prev, cur = cur, (k * cur - prev) % n
     raise InternalCheckError(
-        f"no power of E({k}) mod {n} reached +/-identity within {cap} steps")
+        f"no power of E({k}) mod {n} reached +/-identity within {n * n - 1} "
+        f"steps")
 
 
 def _order_bound(m: Modulus, kv: int) -> tuple[int, set[int]]:
@@ -132,9 +140,8 @@ def _order_bound(m: Modulus, kv: int) -> tuple[int, set[int]]:
     p**(i+1)), which holds for p = 2 as well, since 2i >= i + 1; so each
     factor p raises the exponent of agreement by one, up to p**a.  Hence
     E**B = Id mod N for B = lcm of the p**(a-1) t.  The primes of B are
-    those of p and of t: p, 2, 3, and the odd part of p -/+ 1, factored
-    after its 2s are removed (p + 1 can be 2**31, past `factorize`'s
-    domain).
+    those of p and of t: p, 2, 3, and those of t / 2, which is factored
+    (t = p + 1 can be 2**31, past `factorize`'s domain; 2 is listed anyway).
     """
     d = kv * kv - 4
     bound, primes = 1, {2, 3}
@@ -146,20 +153,9 @@ def _order_bound(m: Modulus, kv: int) -> tuple[int, set[int]]:
             t = 2 * p
         else:
             t = p - 1 if pow(d, (p - 1) // 2, p) == 1 else p + 1
-            odd = t
-            while odd % 2 == 0:
-                odd //= 2
-            primes.update(q for q, _ in factorize(odd))
+            primes.update(q for q, _ in factorize(t // 2))
         bound = lcm(bound, p ** (a - 1) * t)
     return bound, primes
-
-
-def _walk_cap(m: Modulus) -> int:
-    """`_order_bound` for every k at once: lcm over p**a exactly dividing N
-    of p**(a-1) t, with t = 6 for p = 2 and t = lcm(2p, p - 1, p + 1) =
-    p (p**2 - 1) / 2 for odd p, so a multiple of every k's order."""
-    return lcm(*(p ** (a - 1) * (6 if p == 2 else p * (p * p - 1) // 2)
-                 for p, a in m.factors))
 
 
 def _order(m: Modulus, kv: int) -> tuple[int, int]:
@@ -568,7 +564,7 @@ def classify_monomials(modulus: "Modulus | int") -> list[MonomialReport]:
     sum over x of gcd(x, N), 921,375 entries at N = 30030.
     """
     m = as_modulus(modulus)
-    n, cap = m.n, _walk_cap(m)
+    n = m.n
     table = [[] for _ in range(n)]
     for x in range(n):
         step = n // gcd(x, n)
@@ -576,7 +572,7 @@ def classify_monomials(modulus: "Modulus | int") -> list[MonomialReport]:
             table[k].append(x)
     reports = [None] * n
     for k in range(n // 2 + 1):
-        h, sign, split = _walk(n, k, cap)
+        h, sign, split = _walk(n, k)
         reports[k] = _report(m, k, h, sign, split, table[k])
         if 0 < k < n - k:
             reports[n - k] = _report(m, n - k, h, (-1) ** h * sign,

@@ -37,10 +37,15 @@ def factorize(v: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
-def euler_phi(v: int) -> int:
-    """Euler's totient, via the product formula over the factorization."""
-    result = v
-    for p, _ in factorize(v):
+def euler_phi(value: int) -> int:
+    """Euler's totient of 1 <= value <= MAX_MODULUS, via the product formula
+    over the factorization."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or not 1 <= value <= MAX_MODULUS):
+        raise UsageError(f"euler_phi expects an integer value in "
+                         f"[1, {MAX_MODULUS}], got {value!r}")
+    result = value
+    for p, _ in factorize(value):
         result = result // p * (p - 1)
     return result
 
@@ -59,14 +64,15 @@ def _carry_count(i: int, j: int, p: int) -> int:
 
 
 def binomial_valuation(top: int, j: int, base: int) -> int:
-    """Largest e >= 0 with base**e dividing C(top, j).
+    """Largest e >= 0 with base**e dividing C(top, j), for
+    2 <= base <= MAX_MODULUS.
 
     The p-adic valuation of C(top, j) is the number of carries when adding
     j and top - j in base p; for a composite base prod(p_i**e_i) the answer
     is min_i floor(v_{p_i} / e_i), the unique e with base**e dividing the
     coefficient but base**(e+1) not.  C(top, j) itself is never materialized.
     """
-    for name, v in (("top", top), ("j", j)):
+    for name, v in (("top", top), ("j", j), ("base", base)):
         if not isinstance(v, int) or isinstance(v, bool):
             raise UsageError(f"binomial_valuation expects an integer {name}, "
                              f"got {v!r}")
@@ -75,6 +81,9 @@ def binomial_valuation(top: int, j: int, base: int) -> int:
                          f"got top={top}, j={j}")
     if base < 2:
         raise UsageError(f"binomial_valuation expects base >= 2, got {base}")
+    if base > MAX_MODULUS:
+        raise UsageError(f"binomial_valuation expects base <= {MAX_MODULUS}, "
+                         f"got {base}")
     return _binomial_valuation(top, j, factorize(base))
 
 

@@ -553,6 +553,19 @@ def test_roots_phi_factor_binom_val(capsys):
     assert code == 0 and ": 7" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("phi", "0"),
+     "euler_phi expects an integer value in [1, 2147483647], got 0"),
+    (("phi", "2147483648"),
+     "euler_phi expects an integer value in [1, 2147483647], got 2147483648"),
+    (("binom-val", "10", "3", "1000000000000"),
+     "binomial_valuation expects base <= 2147483647, got 1000000000000"),
+])
+def test_phi_and_binom_val_refuse_in_their_own_words(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def roots_by_crt(n, k):
     """Oracle: scan each prime power q of n, then combine the residues with
     the explicit CRT sum of r_q * (n/q) * ((n/q)**-1 mod q)."""

@@ -121,16 +121,14 @@ def walked_reports(n):
     """Every k's report over Z/nZ built from the literal continuant walk:
     the oracle for the order path."""
     m = Modulus(n)
-    cap = monomial._walk_cap(m)
     for k in range(n):
-        yield monomial._report(m, k, *_walk(n, k, cap), roots_oracle(n, k))
+        yield monomial._report(m, k, *_walk(n, k), roots_oracle(n, k))
 
 
 def test_minimal_size_by_order_agrees_with_the_walk():
     for n in range(2, 301):
-        cap = monomial._walk_cap(Modulus(n))
         for k in range(n):
-            assert minimal_monomial_size(n, k) == _walk(n, k, cap)[:2], (n, k)
+            assert minimal_monomial_size(n, k) == _walk(n, k)[:2], (n, k)
 
 
 def test_report_by_order_agrees_with_the_walk():
@@ -143,11 +141,10 @@ def test_report_by_order_agrees_with_the_walk():
 def test_no_split_when_the_only_roots_are_zero_and_k():
     trivial = 0
     for n in range(2, 301):
-        cap = monomial._walk_cap(Modulus(n))
         for k in range(1, n):
             if quadratic_roots(n, k).roots == (0, k):
                 trivial += 1
-                assert _walk(n, k, cap)[2] is None, (n, k)
+                assert _walk(n, k)[2] is None, (n, k)
     assert trivial > 10000
 
 
@@ -191,15 +188,24 @@ def test_order_is_minimal_at_the_top_of_the_domain():
         assert rest == 1, (n, k, h)
 
 
-def test_walk_cap_is_a_multiple_of_every_size():
+def test_order_bound_is_a_multiple_of_every_size():
     for n in range(2, 40):
         m = Modulus(n)
-        cap = monomial._walk_cap(m)
         for k in range(n):
             bound, primes = monomial._order_bound(m, k)
-            assert cap % bound == 0, (n, k)
             assert {p for p, _ in factorize(bound)} <= primes, (n, k)
             assert bound % minimal_monomial_size(n, k)[0] == 0, (n, k)
+
+
+def test_order_bound_factors_half_of_p_plus_one_at_the_top_of_the_domain():
+    # 3**2 - 4 = 5 is a non-residue mod the prime 2**31 - 1, so
+    # t = p + 1 = 2**31, one past `factorize`'s domain; t / 2 is factored
+    p = 2 ** 31 - 1
+    assert monomial._order_bound(Modulus(p), 3) == (2 ** 31, {2, 3, p})
+    assert minimal_monomial_size(p, 3) == (2 ** 30, -1)
+    e = elementary(3, p)
+    assert is_pm_identity(mat_pow(e, 2 ** 30)) == -1
+    assert is_pm_identity(mat_pow(e, 2 ** 29)) is None
 
 
 def nontrivial_pairs(n):
@@ -216,10 +222,9 @@ def nontrivial_pairs(n):
 def test_log_split_agrees_with_the_walk():
     checked = 0
     for n in range(2, 301):
-        cap = monomial._walk_cap(Modulus(n))
         for k, h, targets in nontrivial_pairs(n):
             assert monomial._log_split(n, k, h, targets) == \
-                _walk(n, k, cap)[2], (n, k)
+                _walk(n, k)[2], (n, k)
             checked += 1
     assert checked > 10000
 
@@ -555,11 +560,10 @@ def test_walk_of_negated_residue_is_the_mirror():
     # E(-k) = -J E(k) J gives c_j(-k) = (-1)**j c_j(k); N = 2 is left out,
     # since 1 = -1 there and every sign reads +1
     for n in range(3, 201):
-        cap = monomial._walk_cap(Modulus(n))
         for k in range(n):
-            h, sign, split = _walk(n, k, cap)
+            h, sign, split = _walk(n, k)
             mirror = split and (split[0], -split[1] % n)
-            assert _walk(n, -k % n, cap) == (h, (-1) ** h * sign, mirror), \
+            assert _walk(n, -k % n) == (h, (-1) ** h * sign, mirror), \
                 (n, k)
 
 

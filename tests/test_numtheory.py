@@ -83,6 +83,16 @@ def test_binomial_valuation_range_errors():
         binomial_valuation(3, -1, 2)
     with pytest.raises(UsageError):
         binomial_valuation(3, 1, 1)
+    with pytest.raises(UsageError, match="binomial_valuation .* base"):
+        binomial_valuation(3, 1, 2 ** 31)
+    with pytest.raises(UsageError, match="binomial_valuation .* base"):
+        binomial_valuation(3, 1, 2.0)
+
+
+@pytest.mark.parametrize("value", [0, -4, 2 ** 31, 2.0, True])
+def test_euler_phi_refuses_values_outside_its_domain(value):
+    with pytest.raises(UsageError, match="euler_phi expects an integer value"):
+        euler_phi(value)
 
 
 def test_binomial_valuation_against_exact_oracle():
