@@ -53,7 +53,7 @@ has log 0, x = k has log h - 2, and no x has log h - 1, as c_{h-1} = 0;
 so only the other roots, the nontrivial ones, can split, each in
 [1, h - 3], and by the pairing one root of each pair {x, k - x}
 suffices.  Shanks' baby-step
-giant-step finds the logs of r such roots in about 2 sqrt(r h) steps
+giant-step finds the logs of r such roots in about sqrt(2 r h) steps
 (`_log_split`).  `monomial_report` takes h from the order and the least
 split from the log; `_walk`, one O(h) walk that finds h and the first
 split together, stays as its oracle and as the path of
@@ -162,29 +162,34 @@ def _order(m: Modulus, kv: int) -> tuple[int, int]:
     """(h, sign) of E(kv) mod N (kv reduced) from its order, not a walk.
 
     {j : E**j = +/-Id} is the subgroup hZ, so h divides the bound B of
-    `_order_bound`, which is checked once.  Then each prime l of B is
-    divided out of the current multiple e of h (e = B at the start) while
-    E**(e/l) is still +/-Id: that holds exactly when h divides e/l, so e
-    keeps a multiple of h, and once no prime can go, e = h (the standard
-    reduction, Cohen, GTM 138, section 1.4).  Each power E**e is held as
-    its continuants (c_e, c_{e-1}) (`ring._continuants`), one doubling of
-    O(log B) bits per prime tested; it is +/-Id exactly when c_{e-1} = 0
-    and c_e = +/-1.  The sign is c_h, so +1 over N = 2.
+    `_order_bound`.  Each prime l of B is divided out of the current
+    multiple e of h (e = B at the start) while E**(e/l) is still +/-Id:
+    that holds exactly when h divides e/l, so e keeps a multiple of h, and
+    once no prime can go, e = h (the standard reduction, Cohen, GTM 138,
+    section 1.4).  The bound needs no check of its own once a prime
+    divides out: E**(B/l) = +/-Id already gives E**B = +/-Id.  Only when
+    none does is E**B computed, and h = B, or the bound is wrong.  Each
+    power E**e is held as its continuants (c_e, c_{e-1})
+    (`ring._continuants`), one doubling of O(log B) bits per prime tested;
+    it is +/-Id exactly when c_{e-1} = 0 and c_e = +/-1.  The sign is c_h,
+    so +1 over N = 2.
     """
     n = m.n
     one, minus_one = 1 % n, -1 % n
     h, primes = _order_bound(m, kv)
-    c, d = _continuants(kv, h, n)
-    if d or c != one and c != minus_one:
-        raise InternalCheckError(
-            f"E({kv})**{h} mod {n} is not +/-identity; the order bound is "
-            f"wrong")
+    c = None
     for l in primes:
         while h % l == 0:
             c_l, d_l = _continuants(kv, h // l, n)
             if d_l or c_l != one and c_l != minus_one:
                 break
             h, c = h // l, c_l
+    if c is None:
+        c, d = _continuants(kv, h, n)
+        if d or c != one and c != minus_one:
+            raise InternalCheckError(
+                f"E({kv})**{h} mod {n} is not +/-identity; the order bound "
+                f"is wrong")
     return h, 1 if c == one else -1
 
 
@@ -199,8 +204,11 @@ def _log_split(n: int, k: int, h: int, targets) -> tuple[int, int] | None:
     E**i, i < s, under both signs, whose keys are distinct since s <= h;
     then giant steps (1, x), E**-s (1, x), E**-2s (1, x), ... until one
     lands in the table at step g, entry i, giving the least log
-    j = g s + i.  Each log also gives its pair (h - 2 - j, k - x).  About
-    s + r h / s steps, the giant ones about twice as dear.
+    j = g s + i.  Each log also gives its pair (h - 2 - j, k - x).  A baby
+    step, with its two inserts, costs about as much as a giant step, and
+    a giant walk ends halfway on average, so the cost is about
+    s + r h / (2 s) steps, least at s = sqrt(r h / 2): about sqrt(2 r h)
+    steps, at most s + r h / s.
     """
     s = min(isqrt(len(targets) * h // 2) + 1, h)
     table = {}
@@ -280,8 +288,10 @@ def quadratic_roots(modulus: "Modulus | int", k: int) -> QuadraticRoots:
     For each prime power q = p**a exactly dividing N, let b be the p-adic
     valuation of k mod q (a when q divides k) and t = p**(a - min(b, a // 2)),
     which is q / gcd(k, p**(a // 2)).  The roots mod q are exactly the x
-    with x = 0 or x = k mod t.  The components are combined by the Chinese
-    remainder theorem, in O(sqrt(N) + #roots).
+    with x = 0 or x = k mod t; when t = q (a = 1, or p does not divide k),
+    that is just {0, k mod q}.  The components are combined by the Chinese
+    remainder theorem, in O(sqrt(N) + #roots).  The result is validated
+    once, as a `QuadraticRoots`.
     """
     m = as_modulus(modulus)
     kv = _residue(k, m.n)
@@ -289,7 +299,8 @@ def quadratic_roots(modulus: "Modulus | int", k: int) -> QuadraticRoots:
     for p, a in m.factors:
         q = p ** a
         t = q // gcd(kv, p ** (a // 2))
-        local = set(range(0, q, t)).union(range(kv % t, q, t))
+        local = ({0, kv % q} if t == q
+                 else set(range(0, q, t)).union(range(kv % t, q, t)))
         inverse = pow(step, -1, q)
         roots = [r + step * ((s - r) * inverse % q) for r in roots
                  for s in local]
@@ -483,15 +494,17 @@ class MonomialReport(Record):
 
 def _report(m: Modulus, kv: int, h: int, sign: int, split, roots
             ) -> MonomialReport:
-    """kv's report from its size, first split and roots, ascending.  On a
-    prime power the verdict is checked against the closed-form rule: a
-    disagreement means the decider or the rule is wrong."""
+    """kv's report from its size, first split and roots: kv's roots,
+    ascending and validated by their producer (`QuadraticRoots`), or None
+    when no `Exhausted` certificate is built.  On a prime power the
+    verdict is checked against the closed-form rule: a disagreement means
+    the decider or the rule is wrong."""
     if kv == 0:
         certificate = ZeroExcluded()
     elif split is not None:
         certificate = Decomposition(m, kv, h, *split)
     else:
-        certificate = Exhausted(h, QuadraticRoots(m, kv, tuple(roots)).roots)
+        certificate = Exhausted(h, roots)
     irreducible = isinstance(certificate, Exhausted)
     if len(m.factors) == 1:
         expected = _prime_power_irreducible(*m.factors[0], kv)
@@ -514,10 +527,12 @@ def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
     When the roots are only 0 and k, no split exists (module docstring)
     and the verdict is irreducible.  Otherwise the least split comes from
     a baby-step giant-step log of one root of each of the r pairs
-    {x, k - x} of nontrivial roots, in about 2 sqrt(r h) steps.  For k = 0
-    the minimal solution is the pair (0, 0), reported as not irreducible
-    with a sentinel certificate.  On a prime power the verdict is checked
-    against the closed-form rule.
+    {x, k - x} of nontrivial roots, in about sqrt(2 r h) steps.  The
+    roots are validated once, by `quadratic_roots`, and an `Exhausted`
+    certificate holds them as they are.  For k = 0 the minimal solution is
+    the pair (0, 0), reported as not irreducible with a sentinel
+    certificate.  On a prime power the verdict is checked against the
+    closed-form rule.
     """
     m = as_modulus(modulus)
     n, kv = m.n, _residue(k, m.n)
@@ -573,9 +588,17 @@ def classify_monomials(modulus: "Modulus | int") -> list[MonomialReport]:
     reports = [None] * n
     for k in range(n // 2 + 1):
         h, sign, split = _walk(n, k)
-        reports[k] = _report(m, k, h, sign, split, table[k])
+        roots = mirror_roots = None
+        if k and split is None:
+            # only an Exhausted certificate holds roots; n - k splits
+            # exactly when k does
+            roots = QuadraticRoots(m, k, tuple(table[k])).roots
+            if k < n - k:
+                mirror_roots = QuadraticRoots(
+                    m, n - k, tuple(table[n - k])).roots
+        reports[k] = _report(m, k, h, sign, split, roots)
         if 0 < k < n - k:
             reports[n - k] = _report(m, n - k, h, (-1) ** h * sign,
                                      split and (split[0], -split[1] % n),
-                                     table[n - k])
+                                     mirror_roots)
     return reports

@@ -21,9 +21,10 @@ def factorize(v: int) -> tuple[tuple[int, int], ...]:
         raise UsageError(f"factorize expects an integer >= 1, got {v!r}")
     if v > MAX_MODULUS:
         raise UsageError(f"factorize expects v <= {MAX_MODULUS}, got {v}")
-    n = v
-    factors = []
-    p = 2
+    twos = (v & -v).bit_length() - 1
+    n = v >> twos
+    factors = [(2, twos)] if twos else []
+    p = 3
     while p * p <= n:
         if n % p == 0:
             e = 0
@@ -31,7 +32,7 @@ def factorize(v: int) -> tuple[tuple[int, int], ...]:
                 n //= p
                 e += 1
             factors.append((p, e))
-        p += 1 if p == 2 else 2
+        p += 2
     if n > 1:
         factors.append((n, 1))
     return tuple(factors)

@@ -161,10 +161,35 @@ def test_order_needs_no_walk(monkeypatch):
 
 
 def test_order_refuses_a_wrong_bound(monkeypatch):
-    # E(3) mod 7 has order 4, so its fifth power is not +/-Id
-    monkeypatch.setattr(monomial, "_order_bound", lambda m, kv: (5, {5}))
-    with pytest.raises(InternalCheckError, match="order bound"):
-        minimal_monomial_size(7, 3)
+    # E(3) mod 7 has order 4: no prime divides out of 5, nor of 10 (both
+    # divisions fail), and neither power of E(3) is +/-Id
+    for bound in ((5, {5}), (10, {2, 5})):
+        monkeypatch.setattr(monomial, "_order_bound", lambda m, kv: bound)
+        with pytest.raises(InternalCheckError, match="order bound"):
+            minimal_monomial_size(7, 3)
+
+
+def test_order_powers_to_the_bound_only_when_no_prime_divides_out(
+        monkeypatch):
+    exponents = []
+
+    def recording(k, e, n):
+        exponents.append(e)
+        return _continuants(k, e, n)
+
+    monkeypatch.setattr(monomial, "_continuants", recording)
+    # B = 3 * 2**30 and h = 4: a division succeeds, so E**B is never taken
+    m = Modulus(2 ** 30)
+    bound = monomial._order_bound(m, 2 ** 29)[0]
+    assert bound == 3 * 2 ** 30
+    assert minimal_monomial_size(m, 2 ** 29) == (4, 1)
+    assert bound not in exponents
+    n, k = next((n, k) for n in range(2, 301) for k in range(n)
+                if _walk(n, k)[0] == monomial._order_bound(Modulus(n), k)[0])
+    exponents.clear()
+    h, sign = minimal_monomial_size(n, k)
+    assert (h, sign) == _walk(n, k)[:2]
+    assert exponents[-1] == h
 
 
 def test_order_is_minimal_at_the_top_of_the_domain():
