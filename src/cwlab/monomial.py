@@ -14,7 +14,7 @@ with E(b) E(k)**j E(a) = +/-Id, and `ring._closing_pair` of E(k)**j solves
 that: a solution exists exactly when c_j = +/-1, and then
 a = b = x = c_j c_{j-1} is unique and a root of x(x - k) = 0 mod N.  The
 decision is certified by a claim anyone can recheck: the split (k, size,
-j, x), or that no (length, root) candidate is a solution.
+j, x), or (N, k, size) with no (length, root) candidate a solution.
 The roots of x(x - k) come in closed form per prime power of N, combined by
 the Chinese remainder theorem.  The unstructured search in the bruteforce
 module cross-checks this logic.
@@ -68,13 +68,12 @@ the claim.
 
 The table over all k walks each pair {k, N - k} once, by the mirror map:
 E(-k) = -J E(k) J with J = diag(1, -1), so c_j(-k) = (-1)**j c_j(k) and -k
-has k's h and split index, sign (-1)**h times k's and boundary -x.  Its
-roots come from one sweep over x: with g = gcd(x, N), x/g is a unit mod N/g,
-so x(x - k) = 0 exactly when N/g divides x - k.
+has k's h and split index, sign (-1)**h times k's and boundary -x.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd, isqrt, lcm
 
 from ._record import Record
@@ -436,26 +435,33 @@ class Decomposition(Record):
 
 
 class Exhausted(Record):
-    """The claim that no right summand (x, k, ..., k, x) with x in `roots`
-    and length in [3, size - 1] is a solution, i.e. no continuant c_j with
+    """The claim that, over N, no right summand (x, k, ..., k, x) of the
+    all-k target of length `size`, with x a root of x(x - k) and length in
+    [3, size - 1], is a solution, i.e. no continuant c_j with
     j <= size - 3 is +/-1.  It proves irreducibility relative to the forced
-    summand shape, and anyone can recheck it from size and roots."""
+    summand shape, and anyone can recheck it from N, k and size."""
 
-    __slots__ = ("size", "roots")
+    __slots__ = ("modulus", "k", "size")
 
     variant = "exhausted"
 
-    def __init__(self, size: int, roots: tuple[int, ...]):
+    def __init__(self, modulus: Modulus, k: int, size: int):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "roots", roots)
+
+    @property
+    def roots(self) -> tuple[int, ...]:
+        """The candidate boundaries, ascending, from `quadratic_roots`,
+        which validates them; derived again on each access."""
+        return quadratic_roots(self.modulus, self.k).roots
 
     @property
     def examined(self) -> tuple[tuple[int, int], ...]:
         """Every (right length, root) candidate, ascending.  Kept only for
         bench/tracer.py, which counts len(examined); it can go once the
         tracer counts (size - 3) * len(roots) instead."""
-        return tuple((length, x)
-                     for length in range(3, self.size) for x in self.roots)
+        return tuple(product(range(3, self.size), self.roots))
 
     def summary(self) -> str:
         return (f"exhausted {(self.size - 3) * len(self.roots)} "
@@ -492,19 +498,17 @@ class MonomialReport(Record):
         object.__setattr__(self, "certificate", certificate)
 
 
-def _report(m: Modulus, kv: int, h: int, sign: int, split, roots
+def _report(m: Modulus, kv: int, h: int, sign: int, split
             ) -> MonomialReport:
-    """kv's report from its size, first split and roots: kv's roots,
-    ascending and validated by their producer (`QuadraticRoots`), or None
-    when no `Exhausted` certificate is built.  On a prime power the
-    verdict is checked against the closed-form rule: a disagreement means
-    the decider or the rule is wrong."""
+    """kv's report from its size, sign and first split (None for none).  On
+    a prime power the verdict is checked against the closed-form rule: a
+    disagreement means the decider or the rule is wrong."""
     if kv == 0:
         certificate = ZeroExcluded()
     elif split is not None:
         certificate = Decomposition(m, kv, h, *split)
     else:
-        certificate = Exhausted(h, roots)
+        certificate = Exhausted(m, kv, h)
     irreducible = isinstance(certificate, Exhausted)
     if len(m.factors) == 1:
         expected = _prime_power_irreducible(*m.factors[0], kv)
@@ -528,11 +532,11 @@ def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
     and the verdict is irreducible.  Otherwise the least split comes from
     a baby-step giant-step log of one root of each of the r pairs
     {x, k - x} of nontrivial roots, in about sqrt(2 r h) steps.  The
-    roots are validated once, by `quadratic_roots`, and an `Exhausted`
-    certificate holds them as they are.  For k = 0 the minimal solution is
-    the pair (0, 0), reported as not irreducible with a sentinel
-    certificate.  On a prime power the verdict is checked against the
-    closed-form rule.
+    roots come from `quadratic_roots`; an `Exhausted` certificate stores
+    only (N, k, size) and derives them again when read.  For k = 0 the
+    minimal solution is the pair (0, 0), reported as not irreducible with a
+    sentinel certificate.  On a prime power the verdict is checked against
+    the closed-form rule.
     """
     m = as_modulus(modulus)
     n, kv = m.n, _residue(k, m.n)
@@ -542,7 +546,7 @@ def monomial_report(modulus: "Modulus | int", k: int) -> MonomialReport:
                if x != 0 and x != kv and x <= (kv - x) % n]
     # no split without a nontrivial root (module docstring)
     split = _log_split(n, kv, h, targets) if targets else None
-    return _report(m, kv, h, sign, split, roots)
+    return _report(m, kv, h, sign, split)
 
 
 def is_reducible_monomial(modulus: "Modulus | int", k: int) -> tuple[
@@ -573,32 +577,16 @@ def classify_monomials(modulus: "Modulus | int") -> list[MonomialReport]:
     """One report per k in [0, N), ordered by k.
 
     Only k <= N // 2 is walked.  N - k gets k's h and split index, the sign
-    times (-1)**h and boundary -x, since E(-k) = -J E(k) J; its certificate
-    checks itself.  Every root set is read from one table, built by a sweep
-    over x that puts x in the rows k = x mod N/gcd(x, N); its size is the
-    sum over x of gcd(x, N), 921,375 entries at N = 30030.
+    times (-1)**h and boundary -x, since E(-k) = -J E(k) J.  No roots are
+    computed: an `Exhausted` certificate derives them when read.
     """
     m = as_modulus(modulus)
     n = m.n
-    table = [[] for _ in range(n)]
-    for x in range(n):
-        step = n // gcd(x, n)
-        for k in range(x % step, n, step):
-            table[k].append(x)
     reports = [None] * n
     for k in range(n // 2 + 1):
         h, sign, split = _walk(n, k)
-        roots = mirror_roots = None
-        if k and split is None:
-            # only an Exhausted certificate holds roots; n - k splits
-            # exactly when k does
-            roots = QuadraticRoots(m, k, tuple(table[k])).roots
-            if k < n - k:
-                mirror_roots = QuadraticRoots(
-                    m, n - k, tuple(table[n - k])).roots
-        reports[k] = _report(m, k, h, sign, split, roots)
+        reports[k] = _report(m, k, h, sign, split)
         if 0 < k < n - k:
             reports[n - k] = _report(m, n - k, h, (-1) ** h * sign,
-                                     split and (split[0], -split[1] % n),
-                                     mirror_roots)
+                                     split and (split[0], -split[1] % n))
     return reports

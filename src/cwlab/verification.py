@@ -215,8 +215,8 @@ def check_prime_power_size_bound(n: int) -> CheckOutcome:
 
 
 def check_monomial_classification(n: int) -> CheckOutcome:
-    """Build every per-k report (certificates re-verify themselves); over a
-    prime power this includes the closed-form irreducibility cross-check."""
+    """Build every per-k report (a `Decomposition` re-verifies itself); over
+    a prime power this includes the closed-form irreducibility cross-check."""
     try:
         reports = classify_monomials(n)
     except InternalCheckError as exc:

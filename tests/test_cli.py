@@ -130,6 +130,16 @@ def test_monomial_single_json_certificates_are_pinned(capsys):
             "note":
                 "minimal solution is (0, 0); excluded from irreducibility"}})
 
+    # irreducible with nontrivial roots, which the certificate derives
+    code, out, _ = run_cli(capsys, "monomial", "16", "8", "--format", "json")
+    assert code == 0
+    assert out == dump_json({
+        "N": 16, "k": 8, "size": 4, "sign": 1, "irreducible": True,
+        "certificate": {
+            "variant": "exhausted",
+            "summary": "exhausted 4 split candidates",
+            "examined": {"lengths": [3, 3], "roots": [0, 4, 8, 12]}}})
+
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 def test_monomial_single_builds_certificate_words_only_for_json(

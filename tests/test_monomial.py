@@ -122,7 +122,7 @@ def walked_reports(n):
     the oracle for the order path."""
     m = Modulus(n)
     for k in range(n):
-        yield monomial._report(m, k, *_walk(n, k), roots_oracle(n, k))
+        yield monomial._report(m, k, *_walk(n, k))
 
 
 def test_minimal_size_by_order_agrees_with_the_walk():
@@ -566,7 +566,7 @@ def test_classify_agrees_with_single_k_functions():
             reducible, single = is_reducible_monomial(n, k)
             assert (report.size, report.sign) == minimal_monomial_size(n, k)
             assert report.irreducible == (not reducible)
-            # equal summands, or equal (size, roots), which fix `examined`
+            # equal claims: (N, k, size, j, x) or (N, k, size)
             assert certificate == single, (n, k)
             assert certificate.summary() == single.summary()
 
@@ -606,14 +606,18 @@ def test_classify_walks_each_pair_once(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 11, 16, 360])
-def test_classify_reads_roots_from_its_table(monkeypatch, n):
+def test_classify_computes_no_roots(monkeypatch, n):
     calls = []
 
-    def counting_roots(*args):
-        calls.append(args)
-        return quadratic_roots(*args)
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append((name, args))
+            return original(*args)
+        return wrapper
 
-    monkeypatch.setattr(monomial, "quadratic_roots", counting_roots)
+    for name in ("quadratic_roots", "QuadraticRoots"):
+        monkeypatch.setattr(monomial, name,
+                            counting(name, getattr(monomial, name)))
     classify_monomials(n)
     assert calls == []
 
@@ -624,8 +628,19 @@ def test_classify_roots_match_both_root_finders():
             if report.irreducible:
                 roots = report.certificate.roots
                 assert roots == roots_oracle(n, report.k), (n, report.k)
-                assert roots == quadratic_roots(n, report.k).roots, \
-                    (n, report.k)
+    # the single-k certificates derive their roots the same way; their
+    # candidate grid and summary follow from the literal scan
+    for n in range(2, 301):
+        for k in range(n):
+            certificate = monomial_report(n, k).certificate
+            if isinstance(certificate, Exhausted):
+                roots = roots_oracle(n, k)
+                assert certificate.roots == roots, (n, k)
+                assert certificate.examined == \
+                    tuple(product(range(3, certificate.size), roots))
+                assert certificate.summary() == (
+                    f"exhausted {(certificate.size - 3) * len(roots)} "
+                    f"split candidates")
 
 
 def test_unreduced_integers_act_as_their_residue():

@@ -51,14 +51,15 @@ RECORDS = {
         "Decomposition(modulus=Modulus(9), k=3, size=6, j=2, x=6)"),
     "Exhausted": (
         lambda: monomial_report(5, 2).certificate,
-        "Exhausted(size=5, roots=(0, 2))"),
+        "Exhausted(modulus=Modulus(5), k=2, size=5)"),
     "ZeroExcluded": (
         lambda: ZeroExcluded(),
         "ZeroExcluded()"),
     "MonomialReport": (
         lambda: monomial_report(4, 2),
         "MonomialReport(modulus=Modulus(4), k=2, size=4, sign=1, "
-        "irreducible=True, certificate=Exhausted(size=4, roots=(0, 2)))"),
+        "irreducible=True, certificate=Exhausted(modulus=Modulus(4), k=2, "
+        "size=4))"),
     "CheckOutcome": (
         lambda: CheckOutcome("a", True, "b"),
         "CheckOutcome(name='a', passed=True, detail='b')"),
@@ -124,8 +125,9 @@ def test_records_differ_by_any_field_and_by_class():
     class Twin(Exhausted):
         pass
 
-    assert Twin(5, (0, 2))._values() == Exhausted(5, (0, 2))._values()
-    assert Twin(5, (0, 2)) != Exhausted(5, (0, 2))
+    five = Modulus(5)
+    assert Twin(five, 2, 5)._values() == Exhausted(five, 2, 5)._values()
+    assert Twin(five, 2, 5) != Exhausted(five, 2, 5)
 
 
 def _modules_after_importing_the_cli() -> set[str]:
