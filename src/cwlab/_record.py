@@ -1,14 +1,22 @@
 """The base of cwlab's immutable records.
 
 A record names its fields in `__slots__`, in positional order; its own
-`__init__` validates them and stores each with `object.__setattr__`.  The
-base compares, hashes and prints the field tuple, refuses assignment and
-deletion, and pickles and copies through the constructor.
+`__init__` validates them and stores each through `_setters`, the bound
+`__set__` of each slot's member descriptor in `__slots__` order, which the
+base binds once per class.  `_values`, `__repr__` and `__reduce__` read the
+fields in that same order, so records stay leaf classes: a subclass adds
+no slots.  The base compares, hashes and prints the field tuple, refuses
+assignment and deletion, and pickles and copies through the constructor.
 """
 
 
 class Record:
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__
+                             for name in cls.__slots__)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -131,11 +131,13 @@ class EnumerationQuery(Record):
         for name, flag in (("dedup", dedup), ("count_only", count_only)):
             if not isinstance(flag, bool):
                 raise UsageError(f"{name} must be True or False, got {flag!r}")
-        object.__setattr__(self, "modulus", as_modulus(modulus))
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "dedup", dedup)
-        object.__setattr__(self, "count_only", count_only)
-        object.__setattr__(self, "budget", budget)
+        set_modulus, set_size, set_dedup, set_count_only, set_budget = (
+            self._setters)
+        set_modulus(self, as_modulus(modulus))
+        set_size(self, size)
+        set_dedup(self, dedup)
+        set_count_only(self, count_only)
+        set_budget(self, budget)
 
 
 class Census(Record):
@@ -149,11 +151,13 @@ class Census(Record):
 
     def __init__(self, modulus: Modulus, size: int, total: int, dedup: bool,
                  values: tuple[tuple[int, ...], ...] = ()):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "dedup", dedup)
-        object.__setattr__(self, "values", values)
+        set_modulus, set_size, set_total, set_dedup, set_values = (
+            self._setters)
+        set_modulus(self, modulus)
+        set_size(self, size)
+        set_total(self, total)
+        set_dedup(self, dedup)
+        set_values(self, values)
 
     @property
     def words(self) -> tuple[Word, ...]:

@@ -81,7 +81,7 @@ from .errors import InternalCheckError, UsageError
 from .numtheory import factorize
 from .ring import (Mat2, Modulus, as_modulus, elementary, mat_pow,
                    _closing_pair, _continuants, _residue)
-from .words import Word, is_solution
+from .words import Word
 
 
 def _walk(n: int, k: int) -> tuple[int, int, tuple[int, int] | None]:
@@ -276,9 +276,10 @@ class QuadraticRoots(Record):
         if {(k - x) % n for x in rs} != rs:
             raise InternalCheckError(
                 f"root set {roots} not closed under x -> k - x")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "roots", roots)
+        set_modulus, set_k, set_roots = self._setters
+        set_modulus(self, modulus)
+        set_k(self, k)
+        set_roots(self, roots)
 
 
 def quadratic_roots(modulus: "Modulus | int", k: int) -> QuadraticRoots:
@@ -307,9 +308,20 @@ def quadratic_roots(modulus: "Modulus | int", k: int) -> QuadraticRoots:
     return QuadraticRoots(m, kv, tuple(sorted(roots)))
 
 
-def _checked_solution_word(values, modulus, what: str) -> Word:
-    w = Word(tuple(values), modulus)
-    if is_solution(w) is None:
+def _closes(k: int, j: int, x: int, n: int) -> bool:
+    """Whether (x, k, ..., k, x) with j letters k is a solution mod n (k and
+    x reduced): (x, x) is the `ring._closing_pair` of E(k)**j, taken from
+    its continuants in O(log j)."""
+    c, d = _continuants(k, j, n)  # E(k)**j = [[c, -d], [d, c - k d]]
+    return _closing_pair((c, -d % n, d, (c - k * d) % n), n) == (x, x)
+
+
+def _checked_solution_word(x: int, k: int, length: int, modulus: Modulus,
+                           what: str) -> Word:
+    """The word (x, k, ..., k, x) of `length` letters, refused unless
+    `_closes` finds it a solution."""
+    w = Word((x, *(k,) * (length - 2), x), modulus)
+    if not _closes(k, length - 2, x, modulus.n):
         raise InternalCheckError(f"{what} failed to produce a solution: {w!r}")
     return w
 
@@ -323,7 +335,7 @@ def power_monomial_word(l: int, n: int, m: int, a: int) -> Word:
             f"got l={l}, n={n}, m={m}")
     modulus = Modulus(l ** n)
     k = a * l ** m % modulus.n
-    return _checked_solution_word([k] * (2 * l ** (n - m)), modulus,
+    return _checked_solution_word(k, k, 2 * l ** (n - m), modulus,
                                   "power monomial family")
 
 
@@ -339,9 +351,8 @@ def odd_boundary_word(l: int, n: int, m: int, a: int) -> Word:
     boundary = 2 * a * l ** (n - 1) % modulus.n
     k = a * l ** m % modulus.n
     length = 2 * l ** (n - m) - 4 * l ** (n - m - 1) + 2
-    return _checked_solution_word(
-        [boundary] + [k] * (length - 2) + [boundary], modulus,
-        "odd boundary family")
+    return _checked_solution_word(boundary, k, length, modulus,
+                                  "odd boundary family")
 
 
 def two_boundary_word(n: int, m: int, a: int) -> Word:
@@ -356,9 +367,8 @@ def two_boundary_word(n: int, m: int, a: int) -> Word:
     boundary = a * 2 ** (n - 1) % modulus.n
     k = a * 2 ** m % modulus.n
     length = 2 ** (n - m) + 2
-    return _checked_solution_word(
-        [boundary] + [k] * (length - 2) + [boundary], modulus,
-        "two boundary family")
+    return _checked_solution_word(boundary, k, length, modulus,
+                                  "two boundary family")
 
 
 def power_matrix_identity(n: int, a: int) -> Mat2:
@@ -406,15 +416,14 @@ class Decomposition(Record):
     def __init__(self, modulus: Modulus, k: int, size: int, j: int, x: int):
         if not 1 <= j <= size - 3:
             raise InternalCheckError(f"summand shorter than 3 at j={j}")
-        n = modulus.n
-        c, d = _continuants(k, j, n)  # E(k)**j = [[c, -d], [d, c - k d]]
-        if _closing_pair((c, -d % n, d, (c - k * d) % n), n) != (x, x):
+        if not _closes(k, j, x, modulus.n):
             raise InternalCheckError(f"x={x} does not close E({k})**{j}")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "x", x)
+        set_modulus, set_k, set_size, set_j, set_x = self._setters
+        set_modulus(self, modulus)
+        set_k(self, k)
+        set_size(self, size)
+        set_j(self, j)
+        set_x(self, x)
 
     @property
     def target(self) -> Word:
@@ -446,9 +455,10 @@ class Exhausted(Record):
     variant = "exhausted"
 
     def __init__(self, modulus: Modulus, k: int, size: int):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "size", size)
+        set_modulus, set_k, set_size = self._setters
+        set_modulus(self, modulus)
+        set_k(self, k)
+        set_size(self, size)
 
     @property
     def roots(self) -> tuple[int, ...]:
@@ -490,12 +500,14 @@ class MonomialReport(Record):
     def __init__(self, modulus: Modulus, k: int, size: int, sign: int,
                  irreducible: bool,
                  certificate: Decomposition | Exhausted | ZeroExcluded):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "irreducible", irreducible)
-        object.__setattr__(self, "certificate", certificate)
+        (set_modulus, set_k, set_size, set_sign, set_irreducible,
+         set_certificate) = self._setters
+        set_modulus(self, modulus)
+        set_k(self, k)
+        set_size(self, size)
+        set_sign(self, sign)
+        set_irreducible(self, irreducible)
+        set_certificate(self, certificate)
 
 
 def _report(m: Modulus, kv: int, h: int, sign: int, split

@@ -28,8 +28,9 @@ class Modulus(Record):
             raise UsageError(f"modulus must be an integer >= 2, got {n!r}")
         if n > MAX_MODULUS:
             raise UsageError(f"modulus must be <= {MAX_MODULUS}, got {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "factors", factorize(n))
+        set_n, set_factors = self._setters
+        set_n(self, n)
+        set_factors(self, factorize(n))
 
     def __reduce__(self):
         # the constructor takes N alone and recomputes the factors
@@ -79,8 +80,9 @@ class Mat2(Record):
         det = (entries[0] * entries[3] - entries[1] * entries[2]) % n
         if det != 1 % n:
             raise UsageError(f"matrix determinant is {det}, not 1 (mod {n})")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "modulus", modulus)
+        set_entries, set_modulus = self._setters
+        set_entries(self, entries)
+        set_modulus(self, modulus)
 
     def rows(self) -> list[list[int]]:
         return [list(self.entries[:2]), list(self.entries[2:])]

@@ -45,9 +45,10 @@ class CheckOutcome(Record):
     __slots__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+        set_name, set_passed, set_detail = self._setters
+        set_name(self, name)
+        set_passed(self, passed)
+        set_detail(self, detail)
 
 
 def _outcome(name: str, failures: list[str], ok_detail: str) -> CheckOutcome:

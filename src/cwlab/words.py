@@ -29,8 +29,9 @@ class Word(Record):
         n = modulus.n
         if min(values) < 0 or max(values) >= n:
             raise UsageError(f"word components must lie in [0, {n})")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "modulus", modulus)
+        set_values, set_modulus = self._setters
+        set_values(self, values)
+        set_modulus(self, modulus)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -7,6 +7,7 @@ import pytest
 from cwlab import monomial
 from cwlab.errors import InternalCheckError, UsageError
 from cwlab.monomial import (
+    _checked_solution_word,
     _walk,
     Decomposition,
     Exhausted,
@@ -27,6 +28,7 @@ from cwlab.numtheory import factorize
 from cwlab.ring import (Modulus, elementary, identity, is_pm_identity, mat_mul,
                         mat_pow, _continuants, _mul, _pm_sign, _pow)
 from cwlab.verification import (
+    _family_instances,
     check_boundary_rigidity,
     check_closed_form_agreement,
     check_family_soundness,
@@ -374,6 +376,23 @@ def test_family_builders_validate_parameters():
         two_boundary_word(n=3, m=2, a=1)  # needs n >= 4
     with pytest.raises(UsageError):
         two_boundary_word(n=5, m=4, a=1)  # needs m <= n - 2
+
+
+def test_family_guard_agrees_with_the_literal_fold():
+    # the builders check their (b, k, ..., k, b) word by `_closes` in
+    # O(log length); the fold of every letter must agree, and b + 1, which
+    # cannot close the same power as b, must be refused by both
+    count = 0
+    for _, builder, params in _family_instances(256):
+        w = builder(**params)
+        assert is_solution(w) is not None, (builder.__name__, params)
+        n, length = w.modulus.n, len(w)
+        b, k = (w.values[0] + 1) % n, w.values[1]
+        with pytest.raises(InternalCheckError):
+            _checked_solution_word(b, k, length, w.modulus, "shifted")
+        assert is_solution(word((b,) + (k,) * (length - 2) + (b,), n)) is None
+        count += 1
+    assert count > 1000
 
 
 def test_family_soundness_sweep():
