@@ -41,6 +41,14 @@ c_{h-2-j} c_{h-3-j} = c_j c_{j+1} = k c_j**2 - c_j c_{j-1} = k - x.  The
 map j -> h - 2 - j sends [1, h - 3] to itself, so a root x splits at j
 exactly when k - x splits at h - 2 - j.
 
+The walk `_walk` stops at the first centre of that symmetry, the glide
+of Coxeter's frieze patterns (Acta Arith. 18, 1971).  The recursion reads
+the same both ways, so c_{2m-i} = -s c_i (s = +/-1, 2m an integer) at
+two adjacent i holds at every i, and i = -1, -2 give c_{2m+1} = 0,
+c_{2m+2} = s: E**(2m+2) = s Id, and conversely as above.  The centres
+are -1 + (h/2)Z, the first m >= 0 is h/2 - 1, and the least split, at
+most its pair h - 2 - j, lies at or before it.
+
 The split as a discrete log.  The right summand (x, k, ..., k, x) with j
 letters k is a solution, E(x) E(k)**j E(x) = +/-Id, exactly when
 c_j = +/-1 and x = c_j c_{j-1} (the closing pair), that is when
@@ -52,12 +60,11 @@ cyclic group <E(k)> / +/-Id of order h acting on first columns.  x = 0
 has log 0, x = k has log h - 2, and no x has log h - 1, as c_{h-1} = 0;
 so only the other roots, the nontrivial ones, can split, each in
 [1, h - 3], and by the pairing one root of each pair {x, k - x}
-suffices.  Shanks' baby-step
-giant-step finds the logs of r such roots in about sqrt(2 r h) steps
-(`_log_split`).  `monomial_report` takes h from the order and the least
-split from the log; `_walk`, one O(h) walk that finds h and the first
-split together, stays as its oracle and as the path of
-`classify_monomials`.
+suffices.  Shanks' baby-step giant-step finds the logs of r such roots
+in about sqrt(2 r h) steps (`_log_split`).  `monomial_report` takes h
+from the order and the least split from the log; `classify_monomials`
+takes h, sign and split from `_walk`, which stops at the first centre,
+in about h/2 steps.
 
 A decomposition's certificate stands for three words, the target, left
 and right summands, of 2h + 2 letters in all.  The claim (k, size, j, x)
@@ -65,10 +72,6 @@ rechecks in O(log j), but `cwl monomial N k --format json` writes the
 words out, so it refuses with a budget error when they pass the
 default enumeration budget (`DEFAULT_BUDGET`); text and CSV print only
 the claim.
-
-The table over all k walks each pair {k, N - k} once, by the mirror map:
-E(-k) = -J E(k) J with J = diag(1, -1), so c_j(-k) = (-1)**j c_j(k) and -k
-has k's h and split index, sign (-1)**h times k's and boundary -x.
 """
 
 from __future__ import annotations
@@ -85,39 +88,34 @@ from .words import Word
 
 
 def _walk(n: int, k: int) -> tuple[int, int, tuple[int, int] | None]:
-    """Walk the continuants c_j of E(k) mod n (k reduced) once.
+    """(h, sign, split) of E(k) mod n (k reduced), from the continuants c_j
+    up to their first centre, m = h/2 - 1 (module docstring).
 
-    Returns (h, sign, split): h is the first j with c_{j-1} = 0 and
-    c_j = +/-1, sign is +1 when c_j = 1 (so +1 for N = 2), and split is
-    (j, x) for the first j <= h - 3 with c_j = +/-1, else None, where
-    x = c_j c_{j-1} makes (x, x) the `ring._closing_pair` of
-    E(k)**j = [[c_j, -c_{j-1}], [c_{j-1}, -c_{j-2}]].  The h test comes
-    first, since c_{h-2} = -sign is always +/-1.
-
-    It stops by pigeonhole, not by `_order_bound`, so it stays an oracle
-    independent of the bound.  (c_{j-1}, c_j) moves under the bijection
-    (u, v) -> (v, k v - u) of (Z/nZ)**2, so the orbit of
-    (c_{-1}, c_0) = (0, 1) is a cycle that misses the fixed point (0, 0):
-    it comes back to (0, 1), where E(k)**j = Id, within n**2 - 1 steps.
-    Running past that signals a bug.  The cap is tighter than the bound's
-    for a prime n = p (p**2 against p (p**2 - 1) / 2) and looser for
-    n = 2**a (4**a against 3 2**a).
+    E(k)**h = sign Id (sign +1 at N = 2); split is the least
+    (j, c_j c_{j-1}) with 1 <= j <= h - 3 and c_j = +/-1, else None.  Step
+    j holds (c_{j-1}, c_j, c_{j+1}): m = j when c_{j+1} = e c_{j-1} and
+    (1 - e) c_j = 0, m = j + 1/2 when c_{j+1} = e c_j (e = +/-1, -1 tried
+    first for N = 2); then h = 2m + 2, sign = -e.  Past both, h >= 2j + 4
+    and c_{j+1} is a split candidate.  (0, 1) = (c_{-1}, c_0) returns under
+    the bijection (u, v) -> (v, k v - u) of (Z/nZ)**2 minus (0, 0) within
+    n**2 - 1 steps: h <= n**2 - 1, the centre is at j <= (n**2 - 3) / 2,
+    and a walk past n**2 // 2 steps signals a bug.
     """
-    one, minus_one = 1 % n, -1 % n
-    prev, cur = one, k  # c_{j-1}, c_j at j = 1
-    split = None
-    for j in range(1, n * n):
-        if cur == one or cur == minus_one:
-            if prev == 0:
-                if split is not None and split[0] > j - 3:
-                    split = None
-                return j, 1 if cur == one else -1, split
-            if split is None:
-                split = (j, cur * prev % n)
-        prev, cur = cur, (k * cur - prev) % n
+    a, b, c = 0, 1, k  # c_{j-1}, c_j, c_{j+1} at j = 0
+    minus_one, split = n - 1, None
+    for j in range(n * n // 2):
+        if c == b or c == a or c + b == n or c + a == n:
+            if (c + a) % n == 0 and 2 * b % n == 0:
+                return 2 * j + 2, 1, split
+            if c == a:
+                return 2 * j + 2, -1, split
+            if c + b == n or c == b:
+                return 2 * j + 3, 1 if c + b == n else -1, split
+        if (c == 1 or c == minus_one) and split is None:
+            split = (j + 1, c * b % n)
+        a, b, c = b, c, (k * c - b) % n
     raise InternalCheckError(
-        f"no power of E({k}) mod {n} reached +/-identity within {n * n - 1} "
-        f"steps")
+        f"E({k}) mod {n}: no centre within {n * n // 2} steps")
 
 
 def _order_bound(m: Modulus, kv: int) -> tuple[int, set[int]]:
@@ -239,8 +237,7 @@ def minimal_monomial_size(modulus: "Modulus | int",
     N, and h is B with each prime divided out while E(k) to the quotient
     stays +/-Id, at one continuant doubling of O(log B) bits per prime
     tested.  The bound is proved in `_order_bound`, the reduction in
-    `_order`.  On the continuant walk, h is the first j with c_{j-1} = 0
-    and c_j = +/-1.
+    `_order`.
     """
     m = as_modulus(modulus)
     return _order(m, _residue(k, m.n))
@@ -588,9 +585,11 @@ def _prime_power_irreducible(p: int, exponent: int, k: int) -> bool:
 def classify_monomials(modulus: "Modulus | int") -> list[MonomialReport]:
     """One report per k in [0, N), ordered by k.
 
-    Only k <= N // 2 is walked.  N - k gets k's h and split index, the sign
-    times (-1)**h and boundary -x, since E(-k) = -J E(k) J.  No roots are
-    computed: an `Exhausted` certificate derives them when read.
+    Only k <= N // 2 is walked, to its continuants' first centre (`_walk`,
+    about h/2 steps).  E(-k) = -J E(k) J with J = diag(1, -1), so
+    c_j(-k) = (-1)**j c_j(k): N - k gets k's h and split index, the sign
+    times (-1)**h and boundary -x.  No roots are computed: an `Exhausted`
+    certificate derives them when read.
     """
     m = as_modulus(modulus)
     n = m.n

@@ -40,6 +40,8 @@ from cwlab.verification import (
 )
 from cwlab.words import equivalent, is_solution, oplus, word
 
+from oracles import walk_oracle
+
 
 def minimal_size_oracle(n, k):
     """Oracle: the 2x2 matrix search, E(k)**h = E(k) E(k)**(h-1)."""
@@ -124,13 +126,14 @@ def walked_reports(n):
     the oracle for the order path."""
     m = Modulus(n)
     for k in range(n):
-        yield monomial._report(m, k, *_walk(n, k))
+        yield monomial._report(m, k, *walk_oracle(n, k))
 
 
 def test_minimal_size_by_order_agrees_with_the_walk():
     for n in range(2, 301):
         for k in range(n):
-            assert minimal_monomial_size(n, k) == _walk(n, k)[:2], (n, k)
+            assert minimal_monomial_size(n, k) == walk_oracle(n, k)[:2], \
+                (n, k)
 
 
 def test_report_by_order_agrees_with_the_walk():
@@ -146,7 +149,7 @@ def test_no_split_when_the_only_roots_are_zero_and_k():
         for k in range(1, n):
             if quadratic_roots(n, k).roots == (0, k):
                 trivial += 1
-                assert _walk(n, k)[2] is None, (n, k)
+                assert walk_oracle(n, k)[2] is None, (n, k)
     assert trivial > 10000
 
 
@@ -187,10 +190,11 @@ def test_order_powers_to_the_bound_only_when_no_prime_divides_out(
     assert minimal_monomial_size(m, 2 ** 29) == (4, 1)
     assert bound not in exponents
     n, k = next((n, k) for n in range(2, 301) for k in range(n)
-                if _walk(n, k)[0] == monomial._order_bound(Modulus(n), k)[0])
+                if walk_oracle(n, k)[0] ==
+                monomial._order_bound(Modulus(n), k)[0])
     exponents.clear()
     h, sign = minimal_monomial_size(n, k)
-    assert (h, sign) == _walk(n, k)[:2]
+    assert (h, sign) == walk_oracle(n, k)[:2]
     assert exponents[-1] == h
 
 
@@ -251,7 +255,7 @@ def test_log_split_agrees_with_the_walk():
     for n in range(2, 301):
         for k, h, targets in nontrivial_pairs(n):
             assert monomial._log_split(n, k, h, targets) == \
-                _walk(n, k)[2], (n, k)
+                walk_oracle(n, k)[2], (n, k)
             checked += 1
     assert checked > 10000
 
@@ -609,6 +613,30 @@ def test_walk_of_negated_residue_is_the_mirror():
             mirror = split and (split[0], -split[1] % n)
             assert _walk(n, -k % n) == (h, (-1) ** h * sign, mirror), \
                 (n, k)
+
+
+def test_walk_to_the_first_centre_agrees_with_the_literal_walk():
+    for n in range(2, 401):
+        for k in range(n):
+            assert _walk(n, k) == walk_oracle(n, k), (n, k)
+
+
+def test_walk_pins_each_kind_of_centre():
+    # k = 0: m = 0 with c_1 = c_{-1} = 0; k = 1 and N - 1: m = 1/2 with
+    # c_1 = +/-c_0; at N = 2, where 1 = -1, every sign reads +1
+    assert _walk(2, 0) == (2, 1, None)
+    assert _walk(2, 1) == (3, 1, None)
+    for n in range(3, 100):
+        assert _walk(n, 0) == (2, -1, None), n
+        assert _walk(n, 1) == (3, -1, None), n
+        assert _walk(n, n - 1) == (3, 1, None), n
+    # the first (N, k) by scan whose centre m = h/2 - 1 is an integer with
+    # c_{m+1} = -c_{m-1}, sign +1: the only kind that needs 2 c_m = 0;
+    # c_j of E(2) mod 4 reads 1, 2, 3, 0, 1, so m = 1 and 2 c_1 = 0
+    n, k = next((n, k) for n in range(3, 100) for k in range(n)
+                if walk_oracle(n, k)[0] % 2 == 0 and walk_oracle(n, k)[1] == 1)
+    assert (n, k) == (4, 2)
+    assert _walk(4, 2) == walk_oracle(4, 2) == (4, 1, None)
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 11, 16])
