@@ -63,4 +63,8 @@ from .words import (
     word_matrix,
 )
 
+#: Names of the `verify` presets, kept here so that the cli's parser can list
+#: them without running `cwlab.verification`.
+PRESETS = ("small", "prime-powers", "sizes")
+
 __version__ = "0.1.0"

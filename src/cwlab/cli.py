@@ -8,17 +8,26 @@ with sorted keys and integers only, so parsing it and re-serializing it
 the same way is byte-identical.  Word literals are comma-separated
 integers, negatives allowed; on a shell, prefix negative literals with
 `--` so they are not read as options.
+
+Only `verify` runs the check suite: `cwlab.verification` is registered in
+sys.modules lazily, so every other command skips running it and, with no
+bytecode cache, compiling it (several ms).  With a warm cache the other
+commands are slightly slower instead: importing `importlib.util` for the
+lazy loader, where start-up has not already done so, costs more than
+running the suite would.  The parser reads the preset names from
+`cwlab.PRESETS`, and `csv` is imported only for `--format csv`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import importlib.util
 import json
 import os
 import sys
 from itertools import chain, islice
 
+from . import PRESETS
 from .bruteforce import DEFAULT_BUDGET, EnumerationQuery, enumerate_solutions
 from .errors import BudgetExceededError, UsageError
 from .monomial import (
@@ -30,11 +39,23 @@ from .monomial import (
 )
 from .numtheory import MAX_MODULUS, binomial_valuation, euler_phi, factorize
 from .ring import Modulus, is_pm_identity
-from .verification import PRESETS, render_report, run_moduli, run_preset
 from .words import canonical_form, oplus, parse_word, word_matrix
 
 FORMATS = ("text", "json", "csv")
 JSON_STYLE = {"sort_keys": True, "indent": 2}
+
+
+# only `cwl verify` runs (and, without a bytecode cache, compiles) the check
+# suite: it is registered in sys.modules and bound on the package as an import
+# would, but LazyLoader runs it at its first attribute access
+verification = sys.modules.get("cwlab.verification")
+if verification is None:
+    _spec = importlib.util.find_spec("cwlab.verification")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    verification = importlib.util.module_from_spec(_spec)
+    sys.modules["cwlab.verification"] = verification
+    _spec.loader.exec_module(verification)
+    sys.modules["cwlab"].verification = verification
 
 
 def dump_json(payload) -> str:
@@ -52,6 +73,8 @@ def _emit(args, lines, payload, header: list[str], rows) -> None:
             sys.stdout.write(batch)
         sys.stdout.write("\n")
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -269,9 +292,10 @@ def _modulus_range(raw: str) -> range:
 
 
 def cmd_verify(args) -> int:
-    outcomes = (run_preset(args.preset) if args.preset is not None
-                else run_moduli(args.moduli))
-    all_passed, report = render_report(outcomes)
+    outcomes = (verification.run_preset(args.preset)
+                if args.preset is not None
+                else verification.run_moduli(args.moduli))
+    all_passed, report = verification.render_report(outcomes)
     sys.stdout.write(report)
     return 0 if all_passed else 1
 

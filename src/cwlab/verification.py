@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from itertools import product
 
+from . import PRESETS
 from ._record import Record
 from .bruteforce import (EnumerationQuery, enumerate_solutions,
                          is_reducible_oracle)
@@ -37,8 +38,6 @@ from .words import _arrangements, _oplus, equivalent, is_solution, oplus, word
 
 #: Moduli exercised by the prime-powers preset.
 PRIME_POWER_MODULI = (4, 8, 9, 16, 25, 27, 32, 49, 64, 81)
-
-PRESETS = ("small", "prime-powers", "sizes")
 
 
 class CheckOutcome(Record):

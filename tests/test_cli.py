@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,12 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from cwlab import cli
+from cwlab import PRESETS, cli
 from cwlab.cli import build_parser, console_main, dump_json, main
 from cwlab.monomial import Decomposition
 from cwlab.numtheory import factorize
 from cwlab.ring import elementary, is_pm_identity, mat_pow
-from cwlab.verification import PRESETS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -685,6 +685,69 @@ def test_monomial_help_shows_that_k_or_all_is_required(capsys):
     with pytest.raises(SystemExit):
         main(["monomial", "--help"])
     assert "(k | --all)" in capsys.readouterr().out.splitlines()[0]
+
+
+#: What `cwl --help` and `cwl verify --help` declare, written out here: the
+#: description, each subcommand's help line, and verify's two options with
+#: the preset names.  The tests below render this parser and cwl's through
+#: the running interpreter's argparse and compare them byte for byte; a
+#: literal page would pin argparse itself, whose wrapping and quoting of
+#: choices differ across Python versions (3.12.8+ and 3.13.1+ print the
+#: choices of an "invalid choice" error unquoted).
+DESCRIPTION = ("Words over Z/NZ whose matrix product is +/- identity: "
+               "checking, sums, canonical forms, minimal monomial solutions "
+               "with reducibility certificates, exhaustive enumeration, and "
+               "verification suites.")
+SUBCOMMAND_HELP = {
+    "check": "matrix of a word and its solution sign",
+    "monomial": "minimal monomial solution report(s)",
+    "sum": "boundary sum of two words",
+    "canon": "canonical arrangement of a word",
+    "enumerate": "all solutions of one size (budgeted)",
+    "roots": "roots of x(x-k) mod N",
+    "phi": "Euler phi",
+    "factor": "prime factorization",
+    "binom-val": "largest e with base**e dividing C(top, j)",
+    "verify": "run a deterministic check suite",
+}
+
+
+def pinned_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="cwl", description=DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, line in SUBCOMMAND_HELP.items():
+        sub.add_parser(name, help=line)
+    choice = sub.choices["verify"].add_mutually_exclusive_group(required=True)
+    choice.add_argument("--N", metavar="RANGE",
+                        help="modulus or range, e.g. 10 or 2..6")
+    choice.add_argument("--preset", choices=("small", "prime-powers", "sizes"))
+    return parser
+
+
+def rendered(capsys, parse, argv):
+    """(exit code, stdout, stderr) of `parse(argv)`, which argparse ends."""
+    with pytest.raises(SystemExit) as exc_info:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc_info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", ["", "verify"])
+def test_help_pages_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at COLUMNS - 2
+    argv = [*command.split(), "--help"]
+    expected = rendered(capsys, pinned_parser().parse_args, argv)
+    assert expected[:1] == (0,)
+    assert rendered(capsys, main, argv) == expected
+
+
+def test_unknown_preset_refusal_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["verify", "--preset", "tiny"]
+    expected = rendered(capsys, pinned_parser().parse_args, argv)
+    assert expected[:2] == (2, "")
+    assert "invalid choice: 'tiny'" in expected[2]
+    assert rendered(capsys, main, argv) == expected
 
 
 def test_console_main_exits_with_mains_code(monkeypatch, capsys):

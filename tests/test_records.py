@@ -1,6 +1,7 @@
 """The value records: equality, hashing, immutability, pickling, reprs."""
 
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -20,6 +21,7 @@ from cwlab import (
     quadratic_roots,
     word,
 )
+from cwlab import verification
 from cwlab.verification import CheckOutcome
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -130,15 +132,20 @@ def test_records_differ_by_any_field_and_by_class():
     assert Twin(five, 2, 5) != Exhausted(five, 2, 5)
 
 
-def _modules_after_importing_the_cli() -> set[str]:
-    """sys.modules of a fresh `python -S` process after `import cwlab.cli`."""
+def _fresh_python(code: str) -> str:
+    """stdout of `code` in a fresh `python -S` process with src on the path."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = "import sys, cwlab.cli; print('\\n'.join(sys.modules))"
     result = subprocess.run([sys.executable, "-S", "-c", code],
                             capture_output=True, text=True, env=env,
                             cwd=ROOT)
     assert result.returncode == 0, result.stderr
-    return set(result.stdout.split())
+    return result.stdout
+
+
+def _modules_after_importing_the_cli() -> set[str]:
+    """sys.modules of a fresh process after `import cwlab.cli`."""
+    return set(_fresh_python(
+        "import sys, cwlab.cli; print('\\n'.join(sys.modules))").split())
 
 
 def test_importing_the_cli_skips_dataclasses_inspect_and_typing():
@@ -148,7 +155,42 @@ def test_importing_the_cli_skips_dataclasses_inspect_and_typing():
 
 def test_importing_the_cli_loads_every_traced_layer():
     # bench/tracer.py reads these from sys.modules right after importing the
-    # cli, so none of them may become a lazy import
+    # cli, so each must be there by then; a lazily registered module counts,
+    # since the tracer's vars() call runs it before anything is patched
     layers = {f"cwlab.{name}" for name in ("numtheory", "words", "monomial",
                                             "bruteforce", "verification")}
     assert layers <= _modules_after_importing_the_cli()
+
+
+#: A command other than `verify`, run in a fresh process; the facts about
+#: cwlab.verification follow as one JSON line.
+AFTER_PHI = """
+import json, sys, types
+import cwlab, cwlab.cli
+cwlab.cli.main(["phi", "10"])
+suite = sys.modules["cwlab.verification"]
+facts = {"plain": type(suite) is types.ModuleType,
+         "bound": cwlab.verification is suite}
+"""
+
+
+def _suite_facts(then: str) -> dict:
+    return json.loads(_fresh_python(
+        AFTER_PHI + then + "\nprint(json.dumps(facts))").splitlines()[-1])
+
+
+def test_the_cli_registers_the_verify_suite_without_running_it():
+    facts = _suite_facts(
+        'facts["names"] = list(vars(suite))')  # what bench/tracer.py reads
+    assert not facts["plain"]
+    assert facts["bound"]  # as an import binds it, for cwlab.verification.X
+    functions = {name for name in vars(verification)
+                 if name == "run_preset" or name.startswith("check_")}
+    assert len(functions) == 21
+    assert functions <= set(facts["names"])
+
+
+def test_the_cli_runs_the_verify_suite_for_verify():
+    facts = _suite_facts('cwlab.cli.main(["verify", "--preset", "sizes"])\n'
+                         'facts["plain"] = type(suite) is types.ModuleType')
+    assert facts["plain"]
